@@ -160,20 +160,8 @@ def soft_update(source: ParamSet, target: ParamSet, tau: float) -> ParamSet:
 
 
 def batch_arrays(batch) -> tuple[np.ndarray, ...]:
-    """Stack a list of transitions into (S, A, R, S2, bootstrap_mask)."""
-    n = len(batch)
-    s = np.empty((n, len(batch[0].s)))
-    a = np.empty((n, len(batch[0].a)))
-    r = np.empty(n)
-    s2 = np.empty_like(s)
-    mask = np.empty(n)
-    for j, t in enumerate(batch):
-        s[j] = t.s
-        a[j] = t.a
-        r[j] = t.r
-        s2[j] = t.s_next
-        mask[j] = 0.0 if t.done else 1.0
-    return s, a, r, s2, mask
+    """A replay `Batch` as (S, A, R, S2, bootstrap_mask)."""
+    return batch.s, batch.a, batch.r, batch.s_next, 1.0 - batch.done
 
 
 def build_targets(
@@ -294,7 +282,7 @@ def variant_critic_update(
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    s, a, r, s2, mask = batch if isinstance(batch, tuple) else batch_arrays(batch)
+    s, a, r, s2, mask = batch_arrays(batch)
     distributional = family == "dist"
     y_q, y_z, _, _ = build_targets(
         state,
@@ -325,8 +313,10 @@ def variant_critic_update(
                     state.theta[i], s, a, mean_target, y_z, fixed_b
                 )
                 scale = 1.0
+        if scale != 1.0:  # x * 1.0 == x bit for bit, so the unit-scale kernels skip the copy
+            grads = grads.scale(scale)
         try:
-            adam_step(state.adam[i], state.theta[i], grads.scale(scale), cfg.lr_critic)
+            adam_step(state.adam[i], state.theta[i], grads, cfg.lr_critic)
         except NumericalError as exc:
             raise NumericalError(
                 "non-finite critic gradient "

@@ -133,8 +133,7 @@ def _probe_metrics(agent: AgentState, buffer: ReplayBuffer, cfg: RunConfig, acti
         np.random.SeedSequence([cfg.seed, _PROBE_TAG, eval_index])
     )
     batch = buffer.sample(min(cfg.batch_size, buffer.count), rng)
-    s = np.stack([t.s for t in batch])
-    a = np.stack([t.a for t in batch])
+    s, a = batch.s, batch.a
     q_means, sigma_means = [], []
     for i in active:
         q, sigma, _, _ = critic_forward(agent.critics.theta[i], s, a)
@@ -211,7 +210,7 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                     )
                     critic_updates += 1
                     if critic_updates % cfg.policy_delay == 0:
-                        s_batch = np.stack([t.s for t in batch])
+                        s_batch = batch.s
                         grads = actor_gradient(
                             agent.phi,
                             s_batch,

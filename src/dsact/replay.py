@@ -1,4 +1,10 @@
-"""Bounded FIFO experience store with uniform sampling."""
+"""Bounded FIFO experience store with uniform sampling.
+
+Transitions live in one ring array per field. The arrays are allocated
+with `np.empty` on the first push, sized from that transition, and a row
+is written only when a transition lands in it, so an unfilled buffer
+costs address space but no resident memory.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +26,22 @@ class Transition:
     truncated: bool = False
 
 
+@dataclass
+class Batch:
+    """Transitions as row-aligned arrays: float64 s, a, r, s_next and
+    bool done, truncated."""
+
+    s: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+    s_next: np.ndarray
+    done: np.ndarray
+    truncated: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+
 class ReplayBuffer:
     """Ring buffer: once full, every push evicts the oldest element."""
 
@@ -27,33 +49,63 @@ class ReplayBuffer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._storage: list[Transition] = []
+        self._rows: Batch | None = None
+        self._count = 0
         self._cursor = 0
 
     @property
     def count(self) -> int:
-        return len(self._storage)
+        return self._count
+
+    def _allocate(self, t: Transition) -> Batch:
+        c = self.capacity
+        s_shape, a_shape = np.shape(t.s), np.shape(t.a)
+        return Batch(
+            s=np.empty((c, *s_shape)),
+            a=np.empty((c, *a_shape)),
+            r=np.empty(c),
+            s_next=np.empty((c, *s_shape)),
+            done=np.empty(c, dtype=bool),
+            truncated=np.empty(c, dtype=bool),
+        )
 
     def push(self, t: Transition) -> "ReplayBuffer":
-        if self._storage and (
-            t.s.shape != self._storage[0].s.shape or t.a.shape != self._storage[0].a.shape
-        ):
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._allocate(t)
+        elif np.shape(t.s) != rows.s.shape[1:] or np.shape(t.a) != rows.a.shape[1:]:
             raise ValueError("transition dimensions do not match buffer contents")
-        if len(self._storage) < self.capacity:
-            self._storage.append(t)
+        if self._count < self.capacity:
+            i = self._count
+            self._count += 1
         else:
-            self._storage[self._cursor] = t
+            i = self._cursor
             self._cursor = (self._cursor + 1) % self.capacity
+        rows.s[i] = t.s
+        rows.a[i] = t.a
+        rows.r[i] = t.r
+        rows.s_next[i] = t.s_next
+        rows.done[i] = t.done
+        rows.truncated[i] = t.truncated
         return self
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        """n uniform draws with replacement; refuses when empty."""
+    def sample(self, n: int, rng: np.random.Generator) -> Batch:
+        """n uniform draws with replacement, one `rng.integers` call;
+        refuses when empty."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.count == 0:
+        if self._count == 0:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self.count, size=n)
-        return [self._storage[i] for i in idx]
+        idx = rng.integers(0, self._count, size=n)
+        rows = self._rows
+        return Batch(
+            rows.s[idx], rows.a[idx], rows.r[idx], rows.s_next[idx], rows.done[idx], rows.truncated[idx]
+        )
 
-    def __iter__(self):
-        return iter(self._storage)
+    def contents(self) -> Batch:
+        """Views of the filled rows in slot order (not insertion order)."""
+        if self._rows is None:
+            raise ValueError("the buffer is empty")
+        k = self._count
+        rows = self._rows
+        return Batch(rows.s[:k], rows.a[:k], rows.r[:k], rows.s_next[:k], rows.done[:k], rows.truncated[:k])

@@ -22,7 +22,7 @@ from dsact.critic import (
 )
 from dsact.distributions import policy_head, policy_logprob
 from dsact.numerics import adam_step, init_adam, init_mlp, mlp_forward
-from dsact.replay import Transition
+from dsact.replay import Batch
 
 from conftest import params_equal
 
@@ -32,19 +32,21 @@ def make_pair(seed=0, obs_dim=3, act_dim=1, hidden=(8, 8)):
     return init_critic_pair(rngs, obs_dim, act_dim, list(hidden))
 
 
-def make_batch(rng, n=6, obs_dim=3, act_dim=1):
-    batch = []
+def make_batch(rng, n=6, obs_dim=3, act_dim=1) -> Batch:
+    s, a, r, s2 = [], [], [], []
     for _ in range(n):
-        batch.append(
-            Transition(
-                s=rng.standard_normal(obs_dim),
-                a=np.tanh(rng.standard_normal(act_dim)),
-                r=float(rng.standard_normal()),
-                s_next=rng.standard_normal(obs_dim),
-                done=False,
-            )
-        )
-    return batch
+        s.append(rng.standard_normal(obs_dim))
+        a.append(np.tanh(rng.standard_normal(act_dim)))
+        r.append(float(rng.standard_normal()))
+        s2.append(rng.standard_normal(obs_dim))
+    return Batch(
+        s=np.array(s).reshape(n, obs_dim),
+        a=np.array(a).reshape(n, act_dim),
+        r=np.array(r),
+        s_next=np.array(s2).reshape(n, obs_dim),
+        done=np.zeros(n, dtype=bool),
+        truncated=np.zeros(n, dtype=bool),
+    )
 
 
 class KernelCfg:
@@ -214,7 +216,7 @@ def test_build_targets_matches_scalar_op(rng):
     pair = make_pair(seed=5)
     policy = init_mlp(np.random.default_rng(9), [3, 8, 2])
     batch = make_batch(rng, n=5)
-    batch[2].done = True
+    batch.done[2] = True
     s, a, r, s2, mask = batch_arrays(batch)
     alpha, gamma = 0.3, 0.95
 
@@ -241,7 +243,7 @@ def test_build_targets_matches_scalar_op(rng):
         logp = policy_logprob(
             policy_head(raw[j]), u[j]
         )
-        t = compute_targets(r[j], batch[j].done, q_next, z_draw, logp, alpha, gamma, idx)
+        t = compute_targets(r[j], batch.done[j], q_next, z_draw, logp, alpha, gamma, idx)
         assert y_q[j] == pytest.approx(t.y_q, rel=1e-12, abs=1e-12)
         assert y_z[j] == pytest.approx(t.y_z, rel=1e-12, abs=1e-12)
         assert chosen[j] == idx - 1
@@ -363,5 +365,6 @@ def test_critic_update_second_call_uses_config_tau(rng):
 def test_critic_update_rejects_empty_batch():
     pair = make_pair()
     policy = init_mlp(np.random.default_rng(0), [3, 8, 2])
+    empty = make_batch(np.random.default_rng(0), n=0)
     with pytest.raises(ValueError):
-        critic_update(pair, [], policy, 0.2, KernelCfg(), np.random.default_rng(0))
+        critic_update(pair, empty, policy, 0.2, KernelCfg(), np.random.default_rng(0))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from dsact.harness import (
 )
 from dsact.cli import main as cli_main
 from dsact.numerics import init_mlp
+from dsact.replay import Batch
+import dsact.harness as harness
 
 from conftest import params_equal
 
@@ -123,6 +126,31 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda doc: doc["params"].pop("critic2.l1.bias"), "critic2.l1.bias"),
+            (lambda doc: doc["shapes"].pop("adam.actor.l0.m_weight"), "adam.actor.l0.m_weight"),
+            (lambda doc: doc["params"]["actor.l2.weight"].pop(), "actor.l2.weight"),
+            (lambda doc: doc["shapes"].update({"critic1.l0.bias": [3]}), "critic1.l0.bias"),
+            (lambda doc: doc["activations"]["actor"].pop(), "'actor'"),
+            (lambda doc: doc["env"].update(obs_dim=4), "actor.l0"),
+            (lambda doc: doc.update(b=[0.0]), "'b'"),
+            (lambda doc: doc.pop("alpha"), "'alpha'"),
+            (lambda doc: doc["adam_steps"].update(critic1="7"), "'critic1'"),
+        ],
+    )
+    def test_damaged_checkpoint_names_the_key(self, tmp_path, damage, named):
+        cfg = tiny_cfg(tmp_path)
+        env = make_env(cfg.env, cfg.env_overrides)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, build_agent(cfg, env.spec, make_streams(cfg.seed)), cfg, env.spec)
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(named)):
             load_checkpoint(path)
 
 
@@ -296,6 +324,61 @@ class TestAblation:
         assert m1 == m2
 
 
+class ListReplay:
+    """Reference buffer: a list of Transition objects, stacked row by
+    row at sample time, with the same slot order and the same draw."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._storage = []
+        self._cursor = 0
+        self.pushes = 0
+
+    @property
+    def count(self):
+        return len(self._storage)
+
+    def push(self, t):
+        self.pushes += 1
+        if len(self._storage) < self.capacity:
+            self._storage.append(t)
+        else:
+            self._storage[self._cursor] = t
+            self._cursor = (self._cursor + 1) % self.capacity
+        return self
+
+    def sample(self, n, rng):
+        rows = [self._storage[i] for i in rng.integers(0, self.count, size=n)]
+        return Batch(
+            s=np.stack([t.s for t in rows]),
+            a=np.stack([t.a for t in rows]),
+            r=np.array([t.r for t in rows]),
+            s_next=np.stack([t.s_next for t in rows]),
+            done=np.array([t.done for t in rows]),
+            truncated=np.array([t.truncated for t in rows]),
+        )
+
+
+@pytest.mark.parametrize("algorithm", ["dsact", "dsacv1"])
+@pytest.mark.parametrize("capacity", [1_000_000, 50])
+def test_array_replay_matches_list_reference(tmp_path, monkeypatch, algorithm, capacity):
+    """The array ring gives metrics.csv byte for byte as the list of
+    transitions does, with and without eviction."""
+    cfg = tiny_cfg(tmp_path, algorithm=algorithm, buffer_capacity=capacity, out_dir=str(tmp_path / "array"))
+    train(cfg)
+    made = []
+
+    def list_replay(capacity):
+        made.append(ListReplay(capacity))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "ReplayBuffer", list_replay)
+    summary = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "list")))
+    assert [b.pushes for b in made] == [summary["env_steps"]]
+    assert summary["critic_updates"] > 0
+    assert (tmp_path / "array" / "metrics.csv").read_bytes() == (tmp_path / "list" / "metrics.csv").read_bytes()
+
+
 class TestCli:
     def test_train_eval_bias_roundtrip(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -329,6 +412,13 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"algorithm": "td3"}))
         assert cli_main(["train", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
+    def test_incomplete_checkpoint_exit_code(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps({"format_version": 1}))
+        assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
+        assert "config error: checkpoint lacks ['config']" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["train", "--config", str(tmp_path / "nope.json")]) == 2
