@@ -156,12 +156,13 @@ def _get_adam(doc: dict, name: str, params: ParamSet) -> AdamState:
             ("v_bias", state.v_biases, layer.bias),
         ):
             key = f"adam.{name}.l{i}.{part}"
-            dest[i] = _get_array(doc, key)
-            if dest[i].shape != like.shape:
+            arr = _get_array(doc, key)
+            if arr.shape != like.shape:
                 raise ConfigError(
-                    f"checkpoint array {key!r} has shape {list(dest[i].shape)}, "
+                    f"checkpoint array {key!r} has shape {list(arr.shape)}, "
                     f"its parameter {list(like.shape)}"
                 )
+            dest[i][...] = arr  # into the view, so the moments stay in the state's buffers
     state.step = _number(doc, "adam_steps", name, kind=int)
     return state
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,6 +67,15 @@ class RunConfig:
     out_dir: str = "runs/latest"
 
     def validate(self) -> "RunConfig":
+        # NaN and +-inf slip past every ordered comparison below (JSON
+        # reads them from the NaN/Infinity literals), so reject them first
+        if not isinstance(self.env_overrides, dict):
+            raise ConfigError("env_overrides must be an object")
+        values = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
+        values += [(f"env_overrides[{k!r}]", v) for k, v in self.env_overrides.items()]
+        for name, value in values:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.algorithm not in FAMILIES:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {FAMILIES}")
         if not 0 <= self.gamma < 1:
@@ -139,12 +149,12 @@ def config_from_dict(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(doc)
-    for key in ("hidden_actor", "hidden_critic"):
-        if key in kwargs:
-            kwargs[key] = tuple(int(h) for h in kwargs[key])
     try:
+        for key in ("hidden_actor", "hidden_critic"):
+            if key in kwargs:
+                kwargs[key] = tuple(int(h) for h in kwargs[key])
         cfg = RunConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg.validate()
 

@@ -144,18 +144,14 @@ def update_boundary_scale(
 
 
 def soft_update(source: ParamSet, target: ParamSet, tau: float) -> ParamSet:
-    """target <- tau * source + (1 - tau) * target, elementwise, in place."""
+    """target <- tau * source + (1 - tau) * target, elementwise, in place,
+    as one pass over the flat buffers."""
     if not 0 < tau <= 1:
         raise ValueError("tau must be in (0, 1]")
-    if len(source.layers) != len(target.layers):
+    if source.layout != target.layout:
         raise ValueError("network shapes differ")
-    for ls, lt in zip(source.layers, target.layers):
-        if ls.weight.shape != lt.weight.shape:
-            raise ValueError("network shapes differ")
-        lt.weight *= 1.0 - tau
-        lt.weight += tau * ls.weight
-        lt.bias *= 1.0 - tau
-        lt.bias += tau * ls.bias
+    target.flat *= 1.0 - tau
+    target.flat += tau * source.flat
     return target
 
 

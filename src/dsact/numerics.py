@@ -1,14 +1,21 @@
 """Minimal dense network with hand-written backprop and Adam.
 
-Everything runs in float64 numpy. A network is a plain list of affine
-layers with GELU on the hidden layers and an identity output layer;
-forward keeps the activation trace so backward can produce exact
-reverse-mode derivatives without an autodiff framework.
+Everything runs in float64 numpy. A network is a list of affine layers
+with GELU on the hidden layers and an identity output layer; forward
+keeps the activation trace so backward can produce exact reverse-mode
+derivatives without an autodiff framework.
+
+Each network's parameters live in one flat buffer (its arena), and
+every layer's weight and bias is a view into it. Gradients and Adam
+moments use the same layout, so Adam, soft updates and finite checks
+are single vector passes over the buffer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -46,11 +53,91 @@ class Layer:
     activation: str  # "gelu" or "identity"
 
 
-@dataclass
-class ParamSet:
-    """Ordered affine layers; the unit of ownership for one network."""
+class Layout:
+    """Where each layer's weight and bias sit in a network's flat buffer.
 
-    layers: list[Layer]
+    Weights and biases alternate layer by layer (w0, b0, w1, b1, ...);
+    ``spans`` holds (weight slice, weight shape, bias slice, bias shape)
+    per layer. A layout is immutable: it is built once per network and
+    shared by the network's copies, its gradients and its Adam moments.
+    """
+
+    __slots__ = ("shapes", "size", "spans")
+
+    def __init__(self, weights, biases):
+        self.shapes = tuple((tuple(w.shape), tuple(b.shape)) for w, b in zip(weights, biases, strict=True))
+        spans = []
+        start = 0
+        for w_shape, b_shape in self.shapes:
+            w_end = start + math.prod(w_shape)
+            b_end = w_end + math.prod(b_shape)
+            spans.append((slice(start, w_end), w_shape, slice(w_end, b_end), b_shape))
+            start = b_end
+        self.spans = tuple(spans)
+        self.size = start
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Layout) and self.shapes == other.shapes)
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def weight_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[w].reshape(w_shape) for w, w_shape, _, _ in self.spans]
+
+    def bias_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[b].reshape(b_shape) for _, _, b, b_shape in self.spans]
+
+    def pack(self, weights, biases) -> np.ndarray:
+        """A fresh flat buffer holding copies of the given arrays."""
+        flat = np.empty(self.size)
+        for view, arr in zip(self.weight_views(flat) + self.bias_views(flat), [*weights, *biases]):
+            view[...] = arr
+        return flat
+
+
+class _Arena:
+    """Owner of flat buffers whose per-layer views are cut lazily, on
+    first access, and cached on the instance.
+
+    The cached views are left out of the pickled or deep-copied state, so
+    a copy cuts its own views from its own buffers and keeps them aliased.
+    """
+
+    _views: tuple[str, ...] = ()
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in self._views}
+
+
+class ParamSet(_Arena):
+    """Ordered affine layers; the unit of ownership for one network.
+
+    Every parameter lives in one float64 buffer, ``flat``; each layer's
+    weight and bias are views into it. ``ParamSet(layers)`` copies the
+    given arrays into a new buffer.
+    """
+
+    _views = ("layers",)
+
+    def __init__(self, layers: list[Layer]):
+        weights = [np.asarray(l.weight, dtype=np.float64) for l in layers]
+        biases = [np.asarray(l.bias, dtype=np.float64) for l in layers]
+        self.layout = Layout(weights, biases)
+        self.flat = self.layout.pack(weights, biases)
+        self.activations = tuple(l.activation for l in layers)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layout: Layout, activations) -> "ParamSet":
+        """A network over ``flat`` itself (no copy)."""
+        net = cls.__new__(cls)
+        net.flat, net.layout, net.activations = flat, layout, tuple(activations)
+        return net
+
+    @cached_property
+    def layers(self) -> list[Layer]:
+        weights, biases = self.layout.weight_views(self.flat), self.layout.bias_views(self.flat)
+        return [Layer(w, b, a) for w, b, a in zip(weights, biases, self.activations)]
 
     @property
     def in_dim(self) -> int:
@@ -61,64 +148,94 @@ class ParamSet:
         return self.layers[-1].weight.shape[0]
 
     def copy(self) -> "ParamSet":
-        return ParamSet(
-            [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
+        return ParamSet.from_flat(self.flat.copy(), self.layout, self.activations)
 
 
-@dataclass
-class GradSet:
-    """Per-parameter partials, shape-parallel to a ParamSet."""
+class GradSet(_Arena):
+    """Per-parameter partials in the layout of a ParamSet: one buffer,
+    ``flat``, with per-layer views ``d_weights`` and ``d_biases``."""
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    _views = ("d_weights", "d_biases")
+
+    def __init__(self, d_weights: list[np.ndarray], d_biases: list[np.ndarray]):
+        d_weights = [np.asarray(dw, dtype=np.float64) for dw in d_weights]
+        d_biases = [np.asarray(db, dtype=np.float64) for db in d_biases]
+        self.layout = Layout(d_weights, d_biases)
+        self.flat = self.layout.pack(d_weights, d_biases)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layout: Layout) -> "GradSet":
+        """A gradient over ``flat`` itself (no copy)."""
+        grads = cls.__new__(cls)
+        grads.flat, grads.layout = flat, layout
+        return grads
+
+    @cached_property
+    def d_weights(self) -> list[np.ndarray]:
+        return self.layout.weight_views(self.flat)
+
+    @cached_property
+    def d_biases(self) -> list[np.ndarray]:
+        return self.layout.bias_views(self.flat)
 
     def scale(self, c: float) -> "GradSet":
-        return GradSet([c * dw for dw in self.d_weights], [c * db for db in self.d_biases])
+        return GradSet.from_flat(c * self.flat, self.layout)
 
     def add(self, other: "GradSet") -> "GradSet":
-        return GradSet(
-            [a + b for a, b in zip(self.d_weights, other.d_weights)],
-            [a + b for a, b in zip(self.d_biases, other.d_biases)],
-        )
+        if other.layout != self.layout:
+            raise ValueError("gradient layouts differ")
+        return GradSet.from_flat(self.flat + other.flat, self.layout)
 
     def max_abs(self) -> float:
-        vals = [np.max(np.abs(dw)) if dw.size else 0.0 for dw in self.d_weights]
-        vals += [np.max(np.abs(db)) if db.size else 0.0 for db in self.d_biases]
-        return float(max(vals))
+        return float(np.max(np.abs(self.flat))) if self.flat.size else 0.0
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(dw)) for dw in self.d_weights) and all(
-            np.all(np.isfinite(db)) for db in self.d_biases
-        )
+        return bool(np.isfinite(self.flat).all())
 
 
 def zeros_grad(params: ParamSet) -> GradSet:
-    return GradSet(
-        [np.zeros_like(l.weight) for l in params.layers],
-        [np.zeros_like(l.bias) for l in params.layers],
-    )
+    return GradSet.from_flat(np.zeros(params.layout.size), params.layout)
 
 
-@dataclass
-class AdamState:
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
-    step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    delta: float = ADAM_DELTA
+class AdamState(_Arena):
+    """First and second moments in the layout of one network: flat
+    buffers ``m`` and ``v`` with per-layer views ``m_weights``,
+    ``m_biases``, ``v_weights`` and ``v_biases``."""
+
+    _views = ("m_weights", "m_biases", "v_weights", "v_biases")
+
+    def __init__(
+        self,
+        layout: Layout,
+        step: int = 0,
+        beta1: float = ADAM_BETA1,
+        beta2: float = ADAM_BETA2,
+        delta: float = ADAM_DELTA,
+    ):
+        self.layout = layout
+        self.m = np.zeros(layout.size)
+        self.v = np.zeros(layout.size)
+        self.step, self.beta1, self.beta2, self.delta = step, beta1, beta2, delta
+
+    @cached_property
+    def m_weights(self) -> list[np.ndarray]:
+        return self.layout.weight_views(self.m)
+
+    @cached_property
+    def m_biases(self) -> list[np.ndarray]:
+        return self.layout.bias_views(self.m)
+
+    @cached_property
+    def v_weights(self) -> list[np.ndarray]:
+        return self.layout.weight_views(self.v)
+
+    @cached_property
+    def v_biases(self) -> list[np.ndarray]:
+        return self.layout.bias_views(self.v)
 
 
 def init_adam(params: ParamSet) -> AdamState:
-    return AdamState(
-        m_weights=[np.zeros_like(l.weight) for l in params.layers],
-        v_weights=[np.zeros_like(l.weight) for l in params.layers],
-        m_biases=[np.zeros_like(l.bias) for l in params.layers],
-        v_biases=[np.zeros_like(l.bias) for l in params.layers],
-    )
+    return AdamState(params.layout)
 
 
 def init_mlp(rng: np.random.Generator, sizes: list[int]) -> ParamSet:
@@ -193,26 +310,31 @@ def mlp_backward(
         g = g[None, :]
     if g.shape != cache.pre_acts[-1].shape:
         raise ValueError("output_grad shape does not match cached forward pass")
-    d_weights = [None] * len(params.layers)
-    d_biases = [None] * len(params.layers)
+    layout = params.layout
+    flat = np.empty(layout.size)
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
         if layer.activation == "gelu":
             z = cache.pre_acts[i]
             g = g * (cache.cdfs[i] + z * _INV_SQRT_2PI * np.exp(-0.5 * z * z))
-        d_weights[i] = g.T @ cache.inputs[i]
-        d_biases[i] = g.sum(axis=0)
+        w, _, b, _ = layout.spans[i]
+        # copied in: matmul/reduce with out= views measured slower in training
+        flat[w] = (g.T @ cache.inputs[i]).ravel()
+        flat[b] = g.sum(axis=0)
         g = g @ layer.weight
     input_grad = g[0] if cache.single else g
-    return GradSet(d_weights, d_biases), input_grad
+    return GradSet.from_flat(flat, layout), input_grad
 
 
 def adam_step(
     state: AdamState, params: ParamSet, grads: GradSet, lr: float
 ) -> tuple[ParamSet, AdamState]:
-    """One bias-corrected Adam update; mutates state and params in place."""
+    """One bias-corrected Adam update over the whole flat buffer; mutates
+    state and params in place."""
     if lr <= 0:
         raise ValueError("lr must be positive")
+    if grads.layout != params.layout or state.layout != params.layout:
+        raise ValueError("adam_step layouts differ")
     if not grads.is_finite():
         raise NumericalError("non-finite gradient entry in adam_step")
     state.step += 1
@@ -220,21 +342,14 @@ def adam_step(
     b1, b2, d = state.beta1, state.beta2, state.delta
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for i, layer in enumerate(params.layers):
-        for m, v, g, p in (
-            (state.m_weights[i], state.v_weights[i], grads.d_weights[i], layer.weight),
-            (state.m_biases[i], state.v_biases[i], grads.d_biases[i], layer.bias),
-        ):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + d)
+    m, v, g = state.m, state.v, grads.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + d)
     return params, state
 
 
 def params_all_finite(params: ParamSet) -> bool:
-    return all(
-        np.all(np.isfinite(l.weight)) and np.all(np.isfinite(l.bias))
-        for l in params.layers
-    )
+    return bool(np.isfinite(params.flat).all())

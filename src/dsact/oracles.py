@@ -33,23 +33,17 @@ def finite_diff_grad(scalar_fn, params: ParamSet, h: float) -> GradSet:
     """Central differences of a deterministic scalar over every parameter."""
     if h <= 0:
         raise ValueError("h must be positive")
-    d_weights = []
-    d_biases = []
-    for layer in params.layers:
-        for arr, out in ((layer.weight, d_weights), (layer.bias, d_biases)):
-            grad = np.zeros_like(arr)
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + h
-                f_plus = scalar_fn(params)
-                flat[k] = orig - h
-                f_minus = scalar_fn(params)
-                flat[k] = orig
-                gflat[k] = (f_plus - f_minus) / (2.0 * h)
-            out.append(grad)
-    return GradSet(d_weights, d_biases)
+    flat = params.flat
+    gflat = np.zeros_like(flat)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + h
+        f_plus = scalar_fn(params)
+        flat[k] = orig - h
+        f_minus = scalar_fn(params)
+        flat[k] = orig
+        gflat[k] = (f_plus - f_minus) / (2.0 * h)
+    return GradSet.from_flat(gflat, params.layout)
 
 
 def mc_true_q(

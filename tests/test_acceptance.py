@@ -40,6 +40,8 @@ from dsact.oracles import finite_diff_grad, numeric_soft_q
 
 from conftest import grad_rel_err
 
+pytestmark = pytest.mark.acceptance
+
 DATA = Path(__file__).parent / "data"
 THRESHOLD = json.loads((DATA / "pendulum_threshold.json").read_text())
 

@@ -413,6 +413,43 @@ class TestCli:
         bad.write_text(json.dumps({"algorithm": "td3"}))
         assert cli_main(["train", "--config", str(bad)]) == 2
 
+    # accepted as is, this config trains for zero iterations and exits 0
+    QUICK = {"env": "bandit-chain", "hidden_actor": [4], "hidden_critic": [4], "total_iterations": 0}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr_critic", float("nan")),
+            ("lr_actor", float("inf")),
+            ("lr_alpha", float("nan")),
+            ("alpha_init", float("inf")),
+            ("xi", float("nan")),
+            ("reward_scale", float("inf")),
+            ("eps", float("inf")),
+            ("eps_omega", float("nan")),
+            ("fixed_boundary_b", float("inf")),
+            ("target_entropy", float("nan")),
+            ("target_entropy", float("-inf")),
+            ("stop_return", float("inf")),
+            ("gamma", float("nan")),
+            ("tau", float("nan")),
+            ("batch_size", float("inf")),
+        ],
+    )
+    def test_non_finite_config_value_exit_code(self, tmp_path, capsys, field, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.QUICK, "out_dir": str(tmp_path / "run"), field: value}))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("overrides", [{"hidden_actor": [float("nan")]}, {"env_overrides": {"noise_std": float("nan")}}])
+    def test_non_finite_nested_config_value_exit_code(self, tmp_path, capsys, overrides):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.QUICK, "out_dir": str(tmp_path / "run"), **overrides}))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
     def test_incomplete_checkpoint_exit_code(self, tmp_path, capsys, command):
         ckpt = tmp_path / "ckpt.json"
