@@ -8,28 +8,22 @@ and a training CLI.
 """
 
 from .actor import Temperature, actor_gradient, temperature_update
-from .baselines import VariantConfig, build_variant, grad_coeff_sac, grad_coeffs_v1
+from .baselines import build_variant
 from .config import ConfigError, RunConfig, load_config
 from .critic import (
     CriticPairState,
-    GradCoeffs,
-    TargetPair,
+    KernelSpec,
     clip_target,
-    compute_targets,
     critic_update,
-    grad_coeffs_dsact,
-    select_min_target,
     soft_update,
     update_boundary_scale,
 )
 from .distributions import (
     PolicyDistParams,
-    ValueDistParams,
     gaussian_logpdf,
     policy_logprob,
     policy_sample,
-    sample_value,
-    value_head,
+    value_head_batch,
 )
 from .environments import make_env
 from .harness import evaluate, measure_bias, run_ablation, train

@@ -14,7 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .critic import CriticPairState, critic_forward
-from .distributions import EPS_TANH, LOG_STD_MAX, LOG_STD_MIN, PolicyDistParams, policy_head, policy_logprob
+from .distributions import (
+    EPS_TANH,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    PolicyDistParams,
+    policy_head,
+    policy_logprob,
+    policy_sample,
+)
 from .numerics import GradSet, NumericalError, ParamSet, mlp_backward, mlp_forward
 
 ALPHA_MIN = 1e-6
@@ -35,9 +43,8 @@ def policy_forward(phi: ParamSet, states: np.ndarray) -> PolicyDistParams:
 def act_stochastic(phi: ParamSet, obs: np.ndarray, rng: np.random.Generator):
     """Sample an action for rollout; returns (action, logp)."""
     dist = policy_forward(phi, obs)
-    noise = rng.standard_normal(dist.mu.shape)
-    u = dist.mu + np.exp(dist.log_std) * noise
-    return np.tanh(u), policy_logprob(dist, u)
+    u, a = policy_sample(dist, rng.standard_normal(dist.mu.shape))
+    return a, policy_logprob(dist, u)
 
 
 def act_deterministic(phi: ParamSet, obs: np.ndarray) -> np.ndarray:
@@ -62,15 +69,12 @@ def actor_gradient(
     states = np.atleast_2d(np.asarray(batch_states, dtype=np.float64))
     n = states.shape[0]
     raw, cache_pi = mlp_forward(phi, states)
-    d = raw.shape[1] // 2
-    mu = raw[:, :d]
+    dist = policy_head(raw)
+    d = dist.mu.shape[1]
     raw_ls = raw[:, d:]
-    log_std = np.clip(raw_ls, LOG_STD_MIN, LOG_STD_MAX)
     in_range = ((raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)).astype(np.float64)
-    std = np.exp(log_std)
     zeta = rng.standard_normal((n, d))
-    u = mu + std * zeta
-    t = np.tanh(u)
+    _, t = policy_sample(dist, zeta)
 
     q_vals = []
     caches = []
@@ -96,7 +100,7 @@ def actor_gradient(
     g_u = dq_da * one_minus_t2 - alpha * dlogp_du
     g_mu = g_u
     # direct log_std part of logp is -1 per dimension; the rest rides on u
-    g_ls = (g_u * std * zeta + alpha) * in_range
+    g_ls = (g_u * np.exp(dist.log_std) * zeta + alpha) * in_range
     out_grad_pi = np.concatenate([g_mu, g_ls], axis=1) / n
     grads, _ = mlp_backward(phi, cache_pi, out_grad_pi)
     if not grads.is_finite():

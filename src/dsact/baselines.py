@@ -1,112 +1,39 @@
-"""Alternative critic kernels for comparisons and ablations.
+"""The named critic families as kernel specs, for comparisons and ablations.
 
-Three families share the generalized update in `critic`: the full
-twin-distribution kernel, the pre-refinement single-distribution kernel
-with a random mean target and a fixed clipping boundary, and the
-non-distributional mean-squared TD kernel with twin minimum targets.
-Individual refinements can also be toggled off one at a time.
+Three families share the one update in `critic`: the full
+twin-distribution kernel (`dsact`), the pre-refinement
+single-distribution kernel with a random mean target and a fixed
+clipping boundary (`dsacv1`, Duan et al., arXiv 2001.02811), and the
+non-distributional mean-squared TD kernel with twin minimum targets
+(`sac`, Haarnoja et al., arXiv 1812.05905). Each family names the
+refinement flags a config may set on it; the others are pinned to the
+family's base kernel.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-import numpy as np
+from .critic import KernelSpec, critic_update
 
-from .critic import SIGMA_FLOOR_V1, GradCoeffs, _coeff_arrays, variant_critic_update
+REFINEMENT_FLAGS = ("expected_value_substitution", "twin_distributions", "variance_adjustment")
 
-FAMILIES = ("dsact", "dsacv1", "sac")
-
-
-@dataclass(frozen=True)
-class VariantConfig:
-    """Kernel composition flags; the named families pin them."""
-
-    critic_family: str = "dsact"
-    expected_value_substitution: bool = True
-    twin_distributions: bool = True
-    variance_adjustment: bool = True
-    fixed_boundary_b: float = 20.0
-
-    @staticmethod
-    def from_family(family: str, **flags) -> "VariantConfig":
-        if family not in FAMILIES:
-            raise ValueError(f"unknown critic family {family!r}; choose from {FAMILIES}")
-        if family == "dsacv1":
-            base = dict(
-                expected_value_substitution=False,
-                twin_distributions=False,
-                variance_adjustment=False,
-            )
-        else:
-            base = dict(
-                expected_value_substitution=True,
-                twin_distributions=True,
-                variance_adjustment=True,
-            )
-        base.update(flags)
-        return VariantConfig(critic_family=family, **base)
-
-    def validate(self) -> "VariantConfig":
-        if self.critic_family not in FAMILIES:
-            raise ValueError(f"unknown critic family {self.critic_family!r}")
-        if self.fixed_boundary_b <= 0:
-            raise ValueError("fixed_boundary_b must be positive")
-        return self
-
-    @property
-    def active_critics(self) -> tuple[int, ...]:
-        return (0, 1) if self.twin_distributions else (0,)
+# family -> (base kernel, refinement flags a config may change)
+FAMILIES = {
+    "dsact": (KernelSpec(), REFINEMENT_FLAGS),
+    "dsacv1": (
+        KernelSpec(
+            expected_value_substitution=False,
+            twin_distributions=False,
+            variance_adjustment=False,
+        ),
+        (),
+    ),
+    "sac": (KernelSpec(variance_adjustment=False, distributional=False), ("twin_distributions",)),
+}
 
 
-def grad_coeffs_v1(y_z: float, y_z_clipped: float, q: float, sigma: float) -> GradCoeffs:
-    """Pre-refinement coefficients: random target in the mean term, no
-    epsilon guards; sigma is floored rather than regularized."""
-    sigma = max(float(sigma), SIGMA_FLOOR_V1)
-    g_q, g_sigma = _coeff_arrays(
-        np.float64(y_z), np.float64(y_z_clipped), np.float64(q), np.float64(sigma), 0.0
-    )
-    return GradCoeffs(float(g_q), float(g_sigma))
-
-
-def grad_coeff_sac(y_q: float, q: float) -> float:
-    """Gradient coefficient of 0.5 * (y_q - q)^2 with respect to q."""
-    return -(float(y_q) - float(q))
-
-
-def build_variant(cfg: VariantConfig):
-    """Compose a critic-update procedure for the given flag set.
-
-    The returned callable has the `critic_update` signature. The all-on
-    composition is the full kernel itself, so its behavior matches
-    `critic.critic_update` exactly on the same state, data and rng.
-    """
-    cfg.validate()
-    if cfg.critic_family == "sac":
-        return functools.partial(
-            variant_critic_update,
-            family="sac",
-            twin=cfg.twin_distributions,
-            adaptive=False,
-            expected_mean_target=True,
-        )
-    if cfg.critic_family == "dsacv1":
-        if cfg.expected_value_substitution or cfg.twin_distributions or cfg.variance_adjustment:
-            raise ValueError("the dsacv1 family requires all refinement flags off")
-        return functools.partial(
-            variant_critic_update,
-            family="dist",
-            twin=False,
-            adaptive=False,
-            expected_mean_target=False,
-            fixed_b=cfg.fixed_boundary_b,
-        )
-    return functools.partial(
-        variant_critic_update,
-        family="dist",
-        twin=cfg.twin_distributions,
-        adaptive=cfg.variance_adjustment,
-        expected_mean_target=cfg.expected_value_substitution,
-        fixed_b=cfg.fixed_boundary_b,
-    )
+def build_variant(spec: KernelSpec):
+    """The critic-update procedure of one kernel: `critic_update` with
+    `spec` bound, so the full spec is the full kernel itself."""
+    return functools.partial(critic_update, spec=spec)

@@ -4,9 +4,10 @@ Covers target construction (expected and random targets from the
 smaller-mean target critic), clipping of the random target around the
 current mean, the two-coefficient gradient kernel with its epsilon
 guards, the moving-average clipping boundary b and gradient scale
-omega, and target-network synchronization. The generalized update
-`variant_critic_update` also drives the ablation and baseline kernels
-composed in `baselines`.
+omega, and target-network synchronization. A frozen `KernelSpec` says
+which of the paper's refinements an update applies; `critic_update`
+runs every kernel from it, the full one by default, and `baselines`
+holds the spec of each named family.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SIGMA_MIN, policy_head, policy_logprob, value_head_batch, value_head_sigma_grad
+from .distributions import policy_head, policy_logprob, policy_sample, value_head_batch, value_head_sigma_grad
 from .numerics import (
     AdamState,
     GradSet,
@@ -43,17 +44,27 @@ class CriticPairState:
     stats_initialized: list[bool]
 
 
-@dataclass
-class TargetPair:
-    y_q: float
-    y_z: float
-    chosen_index: int  # 1 or 2
+@dataclass(frozen=True)
+class KernelSpec:
+    """One critic kernel, resolved once per run.
 
+    The three refinement fields are the paper's switches. With
+    variance adjustment the clip boundary b and the gradient scale
+    omega + eps_omega adapt per critic; without it the boundary is
+    `fixed_b`, the scale is 1 and the epsilon guards are off. A
+    non-distributional kernel is SAC's mean-squared TD on the mean
+    channel, with the expected target and no boundary.
+    """
 
-@dataclass
-class GradCoeffs:
-    g_q: float
-    g_sigma: float
+    expected_value_substitution: bool = True  # mean term uses y_q, else the random y_z
+    twin_distributions: bool = True  # both critics learn; targets take the smaller mean
+    variance_adjustment: bool = True
+    distributional: bool = True
+    fixed_b: float = 20.0
+
+    @property
+    def active_critics(self) -> tuple[int, ...]:
+        return (0, 1) if self.twin_distributions else (0,)
 
 
 def init_critic_pair(
@@ -82,28 +93,6 @@ def critic_forward(theta: ParamSet, states: np.ndarray, actions: np.ndarray):
     return q, sigma, raw, cache
 
 
-def select_min_target(q1_next: float, q2_next: float) -> int:
-    """Index (1 or 2) of the smaller target mean; ties go to 1."""
-    return 1 if q1_next <= q2_next else 2
-
-
-def compute_targets(
-    r: float,
-    done: bool,
-    q_next: float,
-    z_draw: float,
-    logp_next: float,
-    alpha: float,
-    gamma: float,
-    chosen_index: int = 1,
-) -> TargetPair:
-    """Expected and random one-step targets with termination masking."""
-    m = 0.0 if done else 1.0
-    y_q = r + m * gamma * (q_next - alpha * logp_next)
-    y_z = r + m * gamma * (z_draw - alpha * logp_next)
-    return TargetPair(float(y_q), float(y_z), chosen_index)
-
-
 def clip_target(y_z, q_current, b):
     """Clamp the random target into [q_current - b, q_current + b]."""
     return np.clip(y_z, q_current - b, q_current + b)
@@ -113,20 +102,6 @@ def _coeff_arrays(mean_target, y_z_clipped, q, sigma, eps):
     g_q = -(mean_target - q) / (sigma * sigma + eps)
     g_sigma = -((y_z_clipped - q) ** 2 - sigma * sigma) / (sigma**3 + eps)
     return g_q, g_sigma
-
-
-def grad_coeffs_dsact(
-    y_q: float, y_z_clipped: float, q: float, sigma: float, eps: float
-) -> GradCoeffs:
-    """Coefficients multiplying grad-Q and grad-sigma in the critic update.
-
-    q and sigma are treated as constants here; the caller chains the
-    coefficients through the network backward pass.
-    """
-    g_q, g_sigma = _coeff_arrays(
-        np.float64(y_q), np.float64(y_z_clipped), np.float64(q), np.float64(sigma), eps
-    )
-    return GradCoeffs(float(g_q), float(g_sigma))
 
 
 def update_boundary_scale(
@@ -179,9 +154,7 @@ def build_targets(
     """
     raw, _ = mlp_forward(policy_target, s2)
     dist = policy_head(raw)
-    noise = rng.standard_normal(dist.mu.shape)
-    u = dist.mu + np.exp(dist.log_std) * noise
-    a2 = np.tanh(u)
+    u, a2 = policy_sample(dist, rng.standard_normal(dist.mu.shape))
     logp = policy_logprob(dist, u)
 
     q_bars = []
@@ -234,7 +207,11 @@ def assemble_critic_gradient(
 
 
 def _assemble_fixed_boundary_gradient(theta, s, a, mean_target, y_z, b):
-    # pre-adjustment kernel: fixed b, bare sigma powers, no eps guards
+    # pre-adjustment kernel: fixed b, bare sigma powers, no eps guards.
+    # critic_update runs it as assemble_critic_gradient(..., b, eps=0.0),
+    # which matches bit for bit: the value head keeps sigma >= SIGMA_MIN,
+    # so the floor never binds, and x + 0.0 == x for the positive powers.
+    # Kept as the reference the kernel tests replay against.
     q, sigma, raw, cache = critic_forward(theta, s, a)
     sigma = np.maximum(sigma, SIGMA_FLOOR_V1)
     y_z_clipped = clip_target(y_z, q, b)
@@ -257,29 +234,24 @@ def _assemble_sac_gradient(theta, s, a, y_q):
     return grads, q, sigma
 
 
-def variant_critic_update(
+def critic_update(
     state: CriticPairState,
     batch,
     policy_target: ParamSet,
     alpha: float,
     cfg,
     rng: np.random.Generator,
-    *,
-    expected_mean_target: bool = True,
-    twin: bool = True,
-    adaptive: bool = True,
-    family: str = "dist",
-    fixed_b: float = 20.0,
+    spec: KernelSpec = KernelSpec(),
 ) -> CriticPairState:
-    """One critic update step under the given kernel composition.
+    """One critic update step under the kernel `spec`, by default the
+    full one: expected mean target, twin distributions, and
+    variance-based boundary/scale adjustment.
 
-    cfg supplies gamma, eps, eps_omega, xi, tau and lr_critic. Active
-    critics are both when twin, else only the first.
+    cfg supplies gamma, eps, eps_omega, xi, tau and lr_critic.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
     s, a, r, s2, mask = batch_arrays(batch)
-    distributional = family == "dist"
     y_q, y_z, _, _ = build_targets(
         state,
         s2,
@@ -289,28 +261,23 @@ def variant_critic_update(
         alpha,
         cfg.gamma,
         rng,
-        twin=twin,
-        draw_z=distributional,
+        twin=spec.twin_distributions,
+        draw_z=spec.distributional,
     )
-    active = (0, 1) if twin else (0,)
-    for i in active:
-        if not distributional:
+    mean_target = y_q if spec.expected_value_substitution else y_z
+    adaptive = spec.distributional and spec.variance_adjustment
+    for i in spec.active_critics:
+        if not spec.distributional:
             grads, q, sigma = _assemble_sac_gradient(state.theta[i], s, a, y_q)
-            scale = 1.0
+        elif adaptive:
+            grads, q, sigma = assemble_critic_gradient(
+                state.theta[i], s, a, mean_target, y_z, state.b[i], cfg.eps
+            )
+            grads = grads.scale(state.omega[i] + cfg.eps_omega)
         else:
-            mean_target = y_q if expected_mean_target else y_z
-            if adaptive:
-                grads, q, sigma = assemble_critic_gradient(
-                    state.theta[i], s, a, mean_target, y_z, state.b[i], cfg.eps
-                )
-                scale = state.omega[i] + cfg.eps_omega
-            else:
-                grads, q, sigma = _assemble_fixed_boundary_gradient(
-                    state.theta[i], s, a, mean_target, y_z, fixed_b
-                )
-                scale = 1.0
-        if scale != 1.0:  # x * 1.0 == x bit for bit, so the unit-scale kernels skip the copy
-            grads = grads.scale(scale)
+            grads, q, sigma = assemble_critic_gradient(
+                state.theta[i], s, a, mean_target, y_z, spec.fixed_b, 0.0
+            )
         try:
             adam_step(state.adam[i], state.theta[i], grads, cfg.lr_critic)
         except NumericalError as exc:
@@ -320,23 +287,10 @@ def variant_critic_update(
                 f"sigma range [{np.min(sigma):.3g}, {np.max(sigma):.3g}], "
                 f"target range [{np.min(y_q):.3g}, {np.max(y_q):.3g}])"
             ) from exc
-        if distributional and adaptive:
+        if adaptive:
             tau_stats = 1.0 if not state.stats_initialized[i] else cfg.tau
             state.b[i], state.omega[i] = update_boundary_scale(
                 state.b[i], state.omega[i], sigma, tau_stats, cfg.xi
             )
             state.stats_initialized[i] = True
     return state
-
-
-def critic_update(
-    state: CriticPairState,
-    batch,
-    policy_target: ParamSet,
-    alpha: float,
-    cfg,
-    rng: np.random.Generator,
-) -> CriticPairState:
-    """The full kernel: expected mean target, twin distributions, and
-    variance-based boundary/scale adjustment."""
-    return variant_critic_update(state, batch, policy_target, alpha, cfg, rng)

@@ -21,14 +21,6 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass
-class ValueDistParams:
-    """Mean and spread of the soft-return distribution at one (s, a)."""
-
-    q: float
-    sigma: float
-
-
-@dataclass
 class PolicyDistParams:
     """Pre-squash diagonal Gaussian for one state."""
 
@@ -50,13 +42,8 @@ def softplus(x):
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
-def value_head(raw_mean: float, raw_spread: float) -> ValueDistParams:
-    """Map raw network channels to (Q, sigma) with sigma >= SIGMA_MIN."""
-    return ValueDistParams(float(raw_mean), float(softplus(raw_spread) + SIGMA_MIN))
-
-
 def value_head_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized value head over a (batch, 2) raw critic output."""
+    """Map raw (..., 2) critic outputs to (Q, sigma) with sigma >= SIGMA_MIN."""
     raw = np.asarray(raw, dtype=np.float64)
     return raw[..., 0], softplus(raw[..., 1]) + SIGMA_MIN
 
@@ -81,9 +68,15 @@ _A_MAX = np.nextafter(1.0, 0.0)  # tanh saturates to exactly 1.0 past |u| ~ 19
 
 def policy_sample(dist: PolicyDistParams, noise: np.ndarray):
     """Reparameterized draw: u = mu + std * noise, a = tanh(u), with a
-    kept strictly inside the open action box."""
-    u = dist.mu + np.exp(dist.log_std) * np.asarray(noise, dtype=np.float64)
-    return u, np.clip(np.tanh(u), -_A_MAX, _A_MAX)
+    kept strictly inside the open action box.
+
+    The one sampler of the engine: rollout actions, target actions, the
+    actor's reparameterized actions and the entropy estimates all draw
+    through it.
+    """
+    u = dist.mu + np.exp(dist.log_std) * noise
+    # the ndarray method skips np.clip's dispatch, a few us per batch-1 call
+    return u, np.tanh(u).clip(-_A_MAX, _A_MAX)
 
 
 def policy_logprob(dist: PolicyDistParams, u: np.ndarray) -> float:
@@ -99,8 +92,3 @@ def policy_logprob(dist: PolicyDistParams, u: np.ndarray) -> float:
     corr = np.log(1.0 - t * t + EPS_TANH)
     out = np.sum(base - corr, axis=-1)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def sample_value(dist: ValueDistParams, noise: float) -> float:
-    """One draw from the return distribution: Q + sigma * noise."""
-    return dist.q + dist.sigma * float(noise)

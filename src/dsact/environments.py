@@ -317,7 +317,7 @@ class BanditChainEnv:
         return self._obs(), float(r), False, truncated
 
 
-_ENV_BUILDERS = {
+ENV_BUILDERS = {
     "pendulum": PendulumEnv,
     "point-robot": PointRobotEnv,
     "bandit-chain": BanditChainEnv,
@@ -325,6 +325,6 @@ _ENV_BUILDERS = {
 
 
 def make_env(name: str, overrides: dict | None = None):
-    if name not in _ENV_BUILDERS:
-        raise ValueError(f"unknown environment {name!r}; choose from {sorted(_ENV_BUILDERS)}")
-    return _ENV_BUILDERS[name](**(overrides or {}))
+    if name not in ENV_BUILDERS:
+        raise ValueError(f"unknown environment {name!r}; choose from {sorted(ENV_BUILDERS)}")
+    return ENV_BUILDERS[name](**(overrides or {}))

@@ -25,7 +25,7 @@ from .baselines import build_variant
 from .charts import write_line_chart
 from .config import ConfigError, RunConfig, config_from_dict
 from .critic import critic_forward, soft_update
-from .distributions import policy_logprob
+from .distributions import policy_logprob, policy_sample
 from .environments import make_env
 from .harness_util import derived_seed
 from .numerics import NumericalError, adam_step, params_all_finite
@@ -140,8 +140,7 @@ def _probe_metrics(agent: AgentState, buffer: ReplayBuffer, cfg: RunConfig, acti
         q_means.append(np.mean(q))
         sigma_means.append(np.mean(sigma))
     dist = policy_forward(agent.phi, s)
-    noise = rng.standard_normal(dist.mu.shape)
-    u = dist.mu + np.exp(dist.log_std) * noise
+    u, _ = policy_sample(dist, rng.standard_normal(dist.mu.shape))
     entropy = float(np.mean(-policy_logprob(dist, u)))
     return float(np.mean(q_means)), float(np.mean(sigma_means)), entropy
 
@@ -169,9 +168,9 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
     env = make_env(cfg.env, cfg.env_overrides)
     streams = make_streams(cfg.seed)
     agent = build_agent(cfg, env.spec, streams)
-    variant_cfg = cfg.variant()
-    update_step = build_variant(variant_cfg)
-    active = variant_cfg.active_critics
+    spec = cfg.kernel()
+    update_step = build_variant(spec)
+    active = spec.active_critics
     buffer = ReplayBuffer(cfg.buffer_capacity)
 
     save_checkpoint(out / "checkpoint_0.json", agent, cfg, env.spec)
@@ -223,7 +222,7 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                         actor_updates += 1
                         dist = policy_forward(agent.phi, s_batch)
                         noise = streams["temp_noise"].standard_normal(dist.mu.shape)
-                        u = dist.mu + np.exp(dist.log_std) * noise
+                        u, _ = policy_sample(dist, noise)
                         agent.temperature = temperature_update(
                             agent.temperature, policy_logprob(dist, u)
                         )
@@ -353,7 +352,7 @@ def measure_bias(
     cfg = config_from_dict(doc["config"])
     if env is None:
         env = make_env(cfg.env, cfg.env_overrides)
-    active = cfg.variant().active_critics
+    active = cfg.kernel().active_critics
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _BIAS_TAG, seed]))
     pairs = collect_on_policy_pairs(env.clone(), agent.phi, n_samples, rng)
 

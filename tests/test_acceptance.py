@@ -21,7 +21,6 @@ from dsact.critic import (
     assemble_critic_gradient,
     clip_target,
     critic_forward,
-    grad_coeffs_dsact,
     init_critic_pair,
     _coeff_arrays,
 )
@@ -39,6 +38,7 @@ from dsact.numerics import init_mlp, mlp_forward
 from dsact.oracles import finite_diff_grad, numeric_soft_q
 
 from conftest import grad_rel_err
+from scalar_reference import grad_coeffs_dsact
 
 pytestmark = pytest.mark.acceptance
 

@@ -11,12 +11,9 @@ from dsact.critic import (
     batch_arrays,
     build_targets,
     clip_target,
-    compute_targets,
     critic_forward,
     critic_update,
-    grad_coeffs_dsact,
     init_critic_pair,
-    select_min_target,
     soft_update,
     update_boundary_scale,
 )
@@ -25,6 +22,7 @@ from dsact.numerics import adam_step, init_adam, init_mlp, mlp_forward
 from dsact.replay import Batch
 
 from conftest import params_equal
+from scalar_reference import compute_targets, grad_coeffs_dsact, select_min_target
 
 
 def make_pair(seed=0, obs_dim=3, act_dim=1, hidden=(8, 8)):

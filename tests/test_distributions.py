@@ -7,14 +7,13 @@ from dsact.distributions import (
     EPS_TANH,
     SIGMA_MIN,
     PolicyDistParams,
-    ValueDistParams,
     gaussian_logpdf,
     policy_logprob,
     policy_sample,
-    sample_value,
-    value_head,
     value_head_batch,
 )
+
+from scalar_reference import ValueDistParams, sample_value, value_head
 
 
 def test_logpdf_standard_normal_at_mode():

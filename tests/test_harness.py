@@ -450,6 +450,24 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"env": "cartpole"}, "unknown env 'cartpole'"),
+            ({"env_overrides": {"bogus": 1}}, "env_overrides['bogus'] is not a bandit-chain parameter"),
+            ({"env": "pendulum", "env_overrides": {"noise_std": 0.1}}, "env_overrides['noise_std']"),
+            ({"algorithm": "sac", "expected_value_substitution": False}, "expected_value_substitution=False"),
+            ({"algorithm": "sac", "variance_adjustment": True}, "variance_adjustment=True"),
+            ({"algorithm": "dsacv1", "twin_distributions": True}, "twin_distributions=True"),
+        ],
+    )
+    def test_config_error_names_the_key_exit_code(self, tmp_path, capsys, overrides, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.QUICK, "out_dir": str(tmp_path / "run"), **overrides}))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
     def test_incomplete_checkpoint_exit_code(self, tmp_path, capsys, command):
         ckpt = tmp_path / "ckpt.json"
