@@ -1,15 +1,22 @@
 """Agent assembly and checkpoint serialization.
 
-A checkpoint is a flat JSON document: every array appears under a
-dotted name in "params" as a row-major list with its shape recorded in
-"shapes". Python's repr-based float serialization keeps round-trips
-bit-exact.
+A checkpoint (format 2) is one uncompressed zip in ``.npz`` form. Its
+first member, ``header.json``, is UTF-8 JSON: the config echo, the env
+block, the counters, the temperature, each critic's b / omega / stats
+flag, the Adam step counts, and each network's layer shapes and
+activations. Every other member is one float64 ``.npy`` vector: a
+network's flat parameter buffer (``actor``, ``actor_target``,
+``critic1``, ``critic2``, ``critic1_target``, ``critic2_target``) or an
+Adam moment buffer (``adam.<network>.m`` / ``.v`` for ``actor``,
+``critic1`` and ``critic2``). Raw float64 keeps round trips bit-exact,
+and the fixed member order and zip timestamps make a re-save of a
+loaded agent byte-identical. JSON (format 1) checkpoints are refused.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,9 +26,16 @@ from .actor import Temperature
 from .config import ConfigError, RunConfig, config_from_dict
 from .critic import CriticPairState, init_critic_pair
 from .environments import EnvSpec
-from .numerics import AdamState, Layer, ParamSet, init_adam, init_mlp
+from .harness_util import write_atomic
+from .numerics import AdamState, Layout, ParamSet, init_adam, init_mlp
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+HEADER = "header.json"
+NETWORKS = ("actor", "actor_target", "critic1", "critic2", "critic1_target", "critic2_target")
+ADAM_NETWORKS = ("actor", "critic1", "critic2")
+_ZIP_TIME = (1980, 1, 1, 0, 0, 0)  # the zip epoch, so saves do not depend on the clock
+# what reading a damaged or foreign file can raise (a missing member is a KeyError)
+_READ_ERRORS = (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile)
 
 
 @dataclass
@@ -57,13 +71,51 @@ def build_agent(cfg: RunConfig, env_spec: EnvSpec, rngs: dict) -> AgentState:
     )
 
 
-def _put_params(doc: dict, name: str, params: ParamSet) -> None:
-    for i, layer in enumerate(params.layers):
-        for part, arr in (("weight", layer.weight), ("bias", layer.bias)):
-            key = f"{name}.l{i}.{part}"
-            doc["shapes"][key] = list(arr.shape)
-            doc["params"][key] = arr.reshape(-1).tolist()
-    doc["activations"][name] = [layer.activation for layer in params.layers]
+def _zip_member(name: str) -> zipfile.ZipInfo:
+    return zipfile.ZipInfo(name, date_time=_ZIP_TIME)
+
+
+def save_checkpoint(path: str | Path, agent: AgentState, cfg: RunConfig, env_spec: EnvSpec) -> None:
+    """Write the agent to exactly ``path``, atomically."""
+    critics = agent.critics
+    nets = dict(zip(NETWORKS, (agent.phi, agent.phi_bar, *critics.theta, *critics.theta_bar), strict=True))
+    adams = dict(zip(ADAM_NETWORKS, (agent.adam_actor, *critics.adam), strict=True))
+    header = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "config": cfg.to_jsonable(),
+        "env": {
+            "name": env_spec.name,
+            "obs_dim": env_spec.obs_dim,
+            "act_dim": env_spec.act_dim,
+        },
+        "iteration": agent.iteration,
+        "env_steps": agent.env_steps,
+        "alpha": agent.temperature.alpha,
+        "target_entropy": agent.temperature.target_entropy,
+        "b": list(critics.b),
+        "omega": list(critics.omega),
+        "stats_initialized": list(critics.stats_initialized),
+        "adam_steps": {name: state.step for name, state in adams.items()},
+        "networks": {
+            name: {
+                "shapes": [list(w_shape) for w_shape, _ in net.layout.shapes],
+                "activations": list(net.activations),
+            }
+            for name, net in nets.items()
+        },
+    }
+    buffers = {name: net.flat for name, net in nets.items()}
+    for name, state in adams.items():
+        buffers[f"adam.{name}.m"], buffers[f"adam.{name}.v"] = state.m, state.v
+
+    def write(f) -> None:
+        with zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as zf:
+            zf.writestr(_zip_member(HEADER), json.dumps(header).encode())
+            for name, flat in buffers.items():
+                with zf.open(_zip_member(f"{name}.npy"), "w") as member:
+                    np.lib.format.write_array(member, flat, allow_pickle=False)
+
+    write_atomic(path, write)
 
 
 def _where(path) -> str:
@@ -95,154 +147,123 @@ def _pair(doc: dict, key: str, kind) -> list:
     return [kind(v) for v in values]
 
 
-def _get_array(doc: dict, key: str) -> np.ndarray:
-    shape, values = _field(doc, "shapes", key), _field(doc, "params", key)
-    try:
-        shape = tuple(int(d) for d in shape)
-        flat = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"checkpoint array {key!r} is malformed: {exc}") from exc
-    size = math.prod(shape)
-    if flat.ndim != 1 or flat.size != size or min(shape, default=0) < 0:
-        raise ConfigError(
-            f"checkpoint array {key!r} holds {flat.size} values; its shape {list(shape)} needs {size}"
-        )
-    return flat.reshape(shape)
-
-
-def _get_params(doc: dict, name: str, n_in: int, n_out: int) -> ParamSet:
-    """A network whose layers chain from n_in inputs to n_out outputs."""
-    acts = _field(doc, "activations", name)
+def _layout(header: dict, name: str, n_in: int, n_out: int) -> tuple[Layout, tuple[str, ...]]:
+    """The layout and activations of a network whose layers chain from
+    n_in inputs to n_out outputs."""
+    shapes = _field(header, "networks", name, "shapes")
+    acts = _field(header, "networks", name, "activations")
     if not isinstance(acts, list) or not acts or not all(a in ("gelu", "identity") for a in acts):
         raise ConfigError(f"checkpoint activations for {name!r} must be a non-empty list of gelu/identity")
-    layers = []
+    if not (
+        isinstance(shapes, list)
+        and len(shapes) == len(acts)
+        and all(isinstance(s, list) and len(s) == 2 and all(type(d) is int and d > 0 for d in s) for s in shapes)
+    ):
+        raise ConfigError(f"checkpoint shapes for {name!r} must be one [out, in] pair of positive ints per layer")
     width = n_in
-    for i, act in enumerate(acts):
-        weight = _get_array(doc, f"{name}.l{i}.weight")
-        bias = _get_array(doc, f"{name}.l{i}.bias")
-        if weight.ndim != 2 or weight.shape[1] != width or bias.shape != weight.shape[:1]:
-            raise ConfigError(
-                f"checkpoint layer {name}.l{i} (weight {list(weight.shape)}, bias {list(bias.shape)}) "
-                f"does not take {width} inputs"
-            )
-        width = weight.shape[0]
-        layers.append(Layer(weight, bias, act))
+    for i, (n_out_i, n_in_i) in enumerate(shapes):
+        if n_in_i != width:
+            raise ConfigError(f"checkpoint layer {name}.l{i} takes {n_in_i} inputs, not {width}")
+        width = n_out_i
     if width != n_out:
         raise ConfigError(f"checkpoint network {name!r} has {width} outputs, expected {n_out}")
-    return ParamSet(layers)
+    return Layout(((o, i), (o,)) for o, i in shapes), tuple(acts)
 
 
-def _put_adam(doc: dict, name: str, state: AdamState) -> None:
-    for i in range(len(state.m_weights)):
-        for part, arr in (
-            ("m_weight", state.m_weights[i]),
-            ("v_weight", state.v_weights[i]),
-            ("m_bias", state.m_biases[i]),
-            ("v_bias", state.v_biases[i]),
-        ):
-            key = f"adam.{name}.l{i}.{part}"
-            doc["shapes"][key] = list(arr.shape)
-            doc["params"][key] = arr.reshape(-1).tolist()
-    doc["adam_steps"][name] = state.step
+def _buffer(npz, path: Path, name: str, layout: Layout) -> np.ndarray:
+    """The member ``name`` as a float64 vector of the layout's size."""
+    where = f"({path}, member {name!r})"
+    try:
+        flat = npz[name]
+    except _READ_ERRORS as exc:
+        raise ConfigError(f"checkpoint member cannot be read: {exc} {where}") from exc
+    if flat.dtype != np.float64 or flat.shape != (layout.size,):
+        raise ConfigError(
+            f"checkpoint buffer is {flat.dtype} {list(flat.shape)}; its layout needs float64 [{layout.size}] {where}"
+        )
+    return flat
 
 
-def _get_adam(doc: dict, name: str, params: ParamSet) -> AdamState:
-    state = init_adam(params)
-    for i, layer in enumerate(params.layers):
-        for part, dest, like in (
-            ("m_weight", state.m_weights, layer.weight),
-            ("v_weight", state.v_weights, layer.weight),
-            ("m_bias", state.m_biases, layer.bias),
-            ("v_bias", state.v_biases, layer.bias),
-        ):
-            key = f"adam.{name}.l{i}.{part}"
-            arr = _get_array(doc, key)
-            if arr.shape != like.shape:
-                raise ConfigError(
-                    f"checkpoint array {key!r} has shape {list(arr.shape)}, "
-                    f"its parameter {list(like.shape)}"
-                )
-            dest[i][...] = arr  # into the view, so the moments stay in the state's buffers
-    state.step = _number(doc, "adam_steps", name, kind=int)
-    return state
+def _open(path: Path):
+    try:
+        with path.open("rb") as f:
+            json_like = f.read(1) == b"{"
+        if not json_like:
+            npz = np.load(path, allow_pickle=False)
+    except _READ_ERRORS as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    if json_like:
+        raise ConfigError(f"checkpoint {path} is JSON (format 1); JSON checkpoints are no longer read")
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ConfigError(f"checkpoint {path} is a single .npy array, not an .npz archive")
+    return npz
 
 
-def save_checkpoint(path: str | Path, agent: AgentState, cfg: RunConfig, env_spec: EnvSpec) -> None:
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": cfg.to_jsonable(),
-        "env": {
-            "name": env_spec.name,
-            "obs_dim": env_spec.obs_dim,
-            "act_dim": env_spec.act_dim,
-        },
-        "iteration": agent.iteration,
-        "env_steps": agent.env_steps,
-        "alpha": agent.temperature.alpha,
-        "target_entropy": agent.temperature.target_entropy,
-        "b": list(agent.critics.b),
-        "omega": list(agent.critics.omega),
-        "stats_initialized": list(agent.critics.stats_initialized),
-        "shapes": {},
-        "params": {},
-        "activations": {},
-        "adam_steps": {},
-    }
-    _put_params(doc, "actor", agent.phi)
-    _put_params(doc, "actor_target", agent.phi_bar)
-    for i in range(2):
-        _put_params(doc, f"critic{i + 1}", agent.critics.theta[i])
-        _put_params(doc, f"critic{i + 1}_target", agent.critics.theta_bar[i])
-        _put_adam(doc, f"critic{i + 1}", agent.critics.adam[i])
-    _put_adam(doc, "actor", agent.adam_actor)
-    Path(path).write_text(json.dumps(doc))
+def _header(npz) -> dict:
+    try:
+        header = json.loads(npz[HEADER])
+    except _READ_ERRORS as exc:
+        raise ConfigError(f"checkpoint header cannot be read: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ConfigError("checkpoint header must hold a JSON object")
+    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise ConfigError(f"unsupported checkpoint format {header.get('format_version')!r}")
+    return header
 
 
 def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
-    """Rebuild the agent; returns (agent, raw document) so callers can
-    read the config echo and env block. A document that does not hold a
-    complete, consistently shaped agent raises ConfigError."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"checkpoint {path} must hold a JSON object")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint format {doc.get('format_version')!r}"
-        )
-    cfg_echo = _field(doc, "config")
-    if not isinstance(cfg_echo, dict):
-        raise ConfigError("checkpoint 'config' must be an object")
-    lr_alpha = config_from_dict(cfg_echo).lr_alpha
-    obs_dim = _number(doc, "env", "obs_dim", kind=int)
-    act_dim = _number(doc, "env", "act_dim", kind=int)
+    """Rebuild the agent; returns (agent, header) so callers can read the
+    config echo and env block. A file that does not hold a complete,
+    consistently shaped agent raises a ConfigError naming the file and
+    the member."""
+    path = Path(path)
+    with _open(path) as npz:
+        try:
+            header = _header(npz)
+            cfg_echo = _field(header, "config")
+            if not isinstance(cfg_echo, dict):
+                raise ConfigError("checkpoint 'config' must be an object")
+            lr_alpha = config_from_dict(cfg_echo).lr_alpha
+            obs_dim = _number(header, "env", "obs_dim", kind=int)
+            act_dim = _number(header, "env", "act_dim", kind=int)
+            layouts = {
+                name: _layout(header, name, obs_dim, 2 * act_dim)
+                if name.startswith("actor")
+                else _layout(header, name, obs_dim + act_dim, 2)
+                for name in NETWORKS
+            }
+            adam_steps = {name: _number(header, "adam_steps", name, kind=int) for name in ADAM_NETWORKS}
+            b, omega = _pair(header, "b", float), _pair(header, "omega", float)
+            stats_initialized = _pair(header, "stats_initialized", bool)
+            temperature = Temperature(_number(header, "alpha"), _number(header, "target_entropy"), lr_alpha)
+            counters = {key: _number(header, key, kind=int) for key in ("iteration", "env_steps")}
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} ({path}, member {HEADER!r})") from exc
 
-    def critic(name: str) -> ParamSet:
-        return _get_params(doc, name, obs_dim + act_dim, 2)
+        nets = {
+            name: ParamSet.from_flat(_buffer(npz, path, name, layout), layout, acts)
+            for name, (layout, acts) in layouts.items()
+        }
+        adams = {}
+        for name in ADAM_NETWORKS:
+            # the moments are the loaded buffers themselves, not copies
+            state = adams[name] = AdamState(nets[name].layout, step=adam_steps[name])
+            state.m, state.v = (_buffer(npz, path, f"adam.{name}.{k}", state.layout) for k in "mv")
 
-    phi = _get_params(doc, "actor", obs_dim, 2 * act_dim)
-    thetas = tuple(critic(f"critic{i + 1}") for i in range(2))
     critics = CriticPairState(
-        theta=thetas,
-        theta_bar=tuple(critic(f"critic{i + 1}_target") for i in range(2)),
-        adam=tuple(_get_adam(doc, f"critic{i + 1}", thetas[i]) for i in range(2)),
-        b=_pair(doc, "b", float),
-        omega=_pair(doc, "omega", float),
-        stats_initialized=_pair(doc, "stats_initialized", bool),
+        theta=(nets["critic1"], nets["critic2"]),
+        theta_bar=(nets["critic1_target"], nets["critic2_target"]),
+        adam=(adams["critic1"], adams["critic2"]),
+        b=b,
+        omega=omega,
+        stats_initialized=stats_initialized,
     )
     agent = AgentState(
-        phi=phi,
-        phi_bar=_get_params(doc, "actor_target", obs_dim, 2 * act_dim),
-        adam_actor=_get_adam(doc, "actor", phi),
+        phi=nets["actor"],
+        phi_bar=nets["actor_target"],
+        adam_actor=adams["actor"],
         critics=critics,
-        temperature=Temperature(
-            _number(doc, "alpha"),
-            _number(doc, "target_entropy"),
-            lr_alpha,
-        ),
-        iteration=_number(doc, "iteration", kind=int),
-        env_steps=_number(doc, "env_steps", kind=int),
+        temperature=temperature,
+        **counters,
     )
-    return agent, doc
+    return agent, header

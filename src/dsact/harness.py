@@ -27,7 +27,7 @@ from .config import ConfigError, RunConfig, config_from_dict
 from .critic import critic_forward, soft_update
 from .distributions import policy_logprob, policy_sample
 from .environments import make_env
-from .harness_util import derived_seed
+from .harness_util import derived_seed, write_atomic
 from .numerics import NumericalError, adam_step, params_all_finite
 from .oracles import BiasReport, mc_true_q, truth_horizon
 from .replay import ReplayBuffer, Transition
@@ -145,6 +145,11 @@ def _probe_metrics(agent: AgentState, buffer: ReplayBuffer, cfg: RunConfig, acti
     return float(np.mean(q_means)), float(np.mean(sigma_means)), entropy
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    text = json.dumps(doc, indent=2)
+    write_atomic(path, lambda f: f.write(text.encode()))
+
+
 def train(cfg: RunConfig) -> dict:
     """Run the full loop; returns the summary document (also saved).
 
@@ -156,9 +161,7 @@ def train(cfg: RunConfig) -> dict:
     try:
         return _train_inner(cfg, out)
     except NumericalError as exc:
-        (out / "diagnostics.json").write_text(
-            json.dumps({"error": str(exc), "config": cfg.to_jsonable()}, indent=2)
-        )
+        _write_json(out / "diagnostics.json", {"error": str(exc), "config": cfg.to_jsonable()})
         raise
 
 
@@ -173,7 +176,7 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
     active = spec.active_critics
     buffer = ReplayBuffer(cfg.buffer_capacity)
 
-    save_checkpoint(out / "checkpoint_0.json", agent, cfg, env.spec)
+    save_checkpoint(out / "checkpoint_0.npz", agent, cfg, env.spec)
     rows: list[dict] = []
     metrics_path = out / "metrics.csv"
     critic_updates = 0
@@ -288,12 +291,13 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                 )
                 metrics_file.flush()
                 if cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0:
-                    save_checkpoint(out / f"checkpoint_{iteration}.json", agent, cfg, env.spec)
+                    save_checkpoint(out / f"checkpoint_{iteration}.npz", agent, cfg, env.spec)
                 if cfg.stop_return is not None and avg_return >= cfg.stop_return:
                     stopped_early = True
                     break
 
-    save_checkpoint(out / f"checkpoint_{agent.iteration}.json", agent, cfg, env.spec)
+    checkpoint = f"checkpoint_{agent.iteration}.npz"
+    save_checkpoint(out / checkpoint, agent, cfg, env.spec)
     if rows:
         series = {"avg_return": ([r["env_steps"] for r in rows], [r["avg_return"] for r in rows])}
         write_line_chart(
@@ -311,9 +315,9 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
         "final_alpha": agent.temperature.alpha,
         "stopped_early": stopped_early,
         "runtime_s": time.perf_counter() - started,
-        "checkpoint": f"checkpoint_{agent.iteration}.json",
+        "checkpoint": checkpoint,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    _write_json(out / "summary.json", summary)
     return summary
 
 
@@ -450,7 +454,7 @@ def run_ablation(
         }
         curves[arm] = (list(steps_axis), mean_curve.tolist())
 
-    (out / "report.json").write_text(json.dumps(report, indent=2))
+    _write_json(out / "report.json", report)
     write_line_chart(
         out / "curves.svg", curves, f"{study} study ({base_cfg.env})", "env steps", "return"
     )

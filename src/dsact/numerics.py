@@ -32,18 +32,26 @@ class NumericalError(RuntimeError):
     """Raised when an update would propagate non-finite values."""
 
 
+def _gelu_cdf(z):
+    """Phi(z), the exact normal CDF (erf form); GELU(z) = z * Phi(z)."""
+    return 0.5 * (1.0 + erf(z * _INV_SQRT2))
+
+
+def _gelu_slope(z, cdf):
+    """GELU'(z) = Phi(z) + z * pdf(z), given cdf = Phi(z)."""
+    return cdf + z * _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+
+
 def gelu(x):
-    """x * Phi(x) with the exact normal CDF (erf form)."""
+    """x * Phi(x), as mlp_forward computes it."""
     x = np.asarray(x, dtype=np.float64)
-    return x * 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * _gelu_cdf(x)
 
 
 def gelu_grad(x):
-    """Derivative of gelu: Phi(x) + x * pdf(x)."""
+    """Derivative of gelu, as mlp_backward computes it."""
     x = np.asarray(x, dtype=np.float64)
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return cdf + x * pdf
+    return _gelu_slope(x, _gelu_cdf(x))
 
 
 @dataclass
@@ -64,8 +72,9 @@ class Layout:
 
     __slots__ = ("shapes", "size", "spans")
 
-    def __init__(self, weights, biases):
-        self.shapes = tuple((tuple(w.shape), tuple(b.shape)) for w, b in zip(weights, biases, strict=True))
+    def __init__(self, shapes):
+        """``shapes``: one (weight shape, bias shape) pair per layer."""
+        self.shapes = tuple((tuple(w_shape), tuple(b_shape)) for w_shape, b_shape in shapes)
         spans = []
         start = 0
         for w_shape, b_shape in self.shapes:
@@ -123,7 +132,7 @@ class ParamSet(_Arena):
     def __init__(self, layers: list[Layer]):
         weights = [np.asarray(l.weight, dtype=np.float64) for l in layers]
         biases = [np.asarray(l.bias, dtype=np.float64) for l in layers]
-        self.layout = Layout(weights, biases)
+        self.layout = Layout((w.shape, b.shape) for w, b in zip(weights, biases, strict=True))
         self.flat = self.layout.pack(weights, biases)
         self.activations = tuple(l.activation for l in layers)
 
@@ -160,7 +169,7 @@ class GradSet(_Arena):
     def __init__(self, d_weights: list[np.ndarray], d_biases: list[np.ndarray]):
         d_weights = [np.asarray(dw, dtype=np.float64) for dw in d_weights]
         d_biases = [np.asarray(db, dtype=np.float64) for db in d_biases]
-        self.layout = Layout(d_weights, d_biases)
+        self.layout = Layout((w.shape, b.shape) for w, b in zip(d_weights, d_biases, strict=True))
         self.flat = self.layout.pack(d_weights, d_biases)
 
     @classmethod
@@ -179,7 +188,9 @@ class GradSet(_Arena):
         return self.layout.bias_views(self.flat)
 
     def scale(self, c: float) -> "GradSet":
-        return GradSet.from_flat(c * self.flat, self.layout)
+        """Multiply in place and return self; the caller must own the buffer."""
+        self.flat *= c
+        return self
 
     def add(self, other: "GradSet") -> "GradSet":
         if other.layout != self.layout:
@@ -283,7 +294,7 @@ def mlp_forward(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, ForwardCac
         z = h @ layer.weight.T + layer.bias
         cache.pre_acts.append(z)
         if layer.activation == "gelu":
-            cdf = 0.5 * (1.0 + erf(z * _INV_SQRT2))
+            cdf = _gelu_cdf(z)
             cache.cdfs.append(cdf)
             h = z * cdf
         else:
@@ -315,8 +326,7 @@ def mlp_backward(
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
         if layer.activation == "gelu":
-            z = cache.pre_acts[i]
-            g = g * (cache.cdfs[i] + z * _INV_SQRT_2PI * np.exp(-0.5 * z * z))
+            g = g * _gelu_slope(cache.pre_acts[i], cache.cdfs[i])
         w, _, b, _ = layout.spans[i]
         # copied in: matmul/reduce with out= views measured slower in training
         flat[w] = (g.T @ cache.inputs[i]).ravel()

@@ -181,7 +181,7 @@ def test_criterion_3_variance_learning():
     elapsed = time.perf_counter() - t0
     assert elapsed <= 180.0
 
-    agent, _ = load_checkpoint(Path(cfg.out_dir) / f"checkpoint_{summary['iterations_run']}.json")
+    agent, _ = load_checkpoint(Path(cfg.out_dir) / summary["checkpoint"])
     env = make_env(cfg.env, cfg.env_overrides)
     pairs = collect_on_policy_pairs(env.clone(), agent.phi, 200, np.random.default_rng(777))
     table = numeric_soft_q(ChainSpec(noise_std=0.3), alpha=0.2, gamma=0.0)

@@ -155,7 +155,7 @@ def nets_and_states(how, tmp_path):
         return [*zip(pair.theta, pair.adam), *((t, None) for t in pair.theta_bar)]
     cfg = tiny_cfg(tmp_path)
     env = make_env(cfg.env, cfg.env_overrides)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.npz"
     save_checkpoint(path, build_agent(cfg, env.spec, make_streams(cfg.seed)), cfg, env.spec)
     agent, _ = load_checkpoint(path)
     critics = agent.critics

@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import json
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from dsact.harness import (
     train,
 )
 from dsact.cli import main as cli_main
+from dsact.harness_util import write_atomic
 from dsact.numerics import init_mlp
 from dsact.replay import Batch
 import dsact.harness as harness
@@ -98,6 +101,53 @@ class TestConfig:
         assert agent.temperature.target_entropy == -1.0
 
 
+def saved_checkpoint(tmp_path):
+    """A fresh tiny agent saved to tmp_path / "ckpt.npz"; returns (path, agent)."""
+    cfg = tiny_cfg(tmp_path)
+    env = make_env(cfg.env, cfg.env_overrides)
+    agent = build_agent(cfg, env.spec, make_streams(cfg.seed))
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, agent, cfg, env.spec)
+    return path, agent
+
+
+def rewrite_checkpoint(path, edit):
+    """Apply edit to the {member name: bytes} of a saved checkpoint and
+    write the result back as a valid zip."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    edit(members)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
+def edit_header(change):
+    def edit(members):
+        header = json.loads(members["header.json"])
+        change(header)
+        members["header.json"] = json.dumps(header).encode()
+
+    return edit
+
+
+def edit_buffer(name, change):
+    def edit(members):
+        out = io.BytesIO()
+        np.save(out, change(np.load(io.BytesIO(members[f"{name}.npy"]))))
+        members[f"{name}.npy"] = out.getvalue()
+
+    return edit
+
+
+def flip_payload_byte(path, agent):
+    data = bytearray(path.read_bytes())
+    at = data.find(agent.critics.theta[0].flat.tobytes())
+    assert at > 0
+    data[at + 8 * 5 + 3] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -105,7 +155,7 @@ class TestCheckpoint:
         agent = build_agent(cfg, env.spec, make_streams(cfg.seed))
         agent.critics.b = [1.25, 2.5]
         agent.critics.omega = [0.125, 0.0625]
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         save_checkpoint(path, agent, cfg, env.spec)
         loaded, doc = load_checkpoint(path)
         assert params_equal(loaded.phi, agent.phi)
@@ -116,42 +166,76 @@ class TestCheckpoint:
         assert loaded.critics.b == agent.critics.b
         assert loaded.critics.omega == agent.critics.omega
         assert loaded.temperature.alpha == agent.temperature.alpha
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         # a second save of the loaded state is byte-identical
-        path2 = tmp_path / "ckpt2.json"
+        path2 = tmp_path / "ckpt2.npz"
         save_checkpoint(path2, loaded, cfg, env.spec)
-        assert path.read_text() == path2.read_text()
+        assert path.read_bytes() == path2.read_bytes()
 
     def test_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps({"format_version": 99}))
-        with pytest.raises(ConfigError):
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, edit_header(lambda header: header.update(format_version=99)))
+        with pytest.raises(ConfigError, match="unsupported checkpoint format 99"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "damage, named",
         [
-            (lambda doc: doc["params"].pop("critic2.l1.bias"), "critic2.l1.bias"),
-            (lambda doc: doc["shapes"].pop("adam.actor.l0.m_weight"), "adam.actor.l0.m_weight"),
-            (lambda doc: doc["params"]["actor.l2.weight"].pop(), "actor.l2.weight"),
-            (lambda doc: doc["shapes"].update({"critic1.l0.bias": [3]}), "critic1.l0.bias"),
-            (lambda doc: doc["activations"]["actor"].pop(), "'actor'"),
-            (lambda doc: doc["env"].update(obs_dim=4), "actor.l0"),
-            (lambda doc: doc.update(b=[0.0]), "'b'"),
-            (lambda doc: doc.pop("alpha"), "'alpha'"),
-            (lambda doc: doc["adam_steps"].update(critic1="7"), "'critic1'"),
+            (lambda path, agent: path.write_bytes(path.read_bytes()[:-1000]), "not a zip file"),
+            (flip_payload_byte, "Bad CRC-32 for file 'critic1.npy'"),
+            (lambda path, agent: rewrite_checkpoint(path, lambda m: m.pop("critic2_target.npy")), "'critic2_target'"),
+            (lambda path, agent: rewrite_checkpoint(path, edit_buffer("actor", lambda flat: flat[:-1])), "needs float64"),
+            (lambda path, agent: rewrite_checkpoint(path, edit_buffer("adam.critic1.v", lambda v: v.astype(np.int64))), "int64"),
+            (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h.pop("alpha"))), "'alpha'"),
+            (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["env"].update(obs_dim=4))), "actor.l0"),
+            (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h.update(b=[0.0]))), "'b'"),
+            (lambda path, agent: path.write_text(json.dumps({"format_version": 1})), "JSON checkpoints are no longer read"),
+            (
+                lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["networks"]["actor"]["activations"].pop())),
+                "'actor'",
+            ),
+            (
+                lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["adam_steps"].update(critic1="7"))),
+                "'critic1'",
+            ),
         ],
     )
     def test_damaged_checkpoint_names_the_key(self, tmp_path, damage, named):
-        cfg = tiny_cfg(tmp_path)
-        env = make_env(cfg.env, cfg.env_overrides)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, build_agent(cfg, env.spec, make_streams(cfg.seed)), cfg, env.spec)
-        doc = json.loads(path.read_text())
-        damage(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match=re.escape(named)):
+        path, agent = saved_checkpoint(tmp_path)
+        damage(path, agent)
+        with pytest.raises(ConfigError, match=re.escape(named)) as caught:
             load_checkpoint(path)
+        assert str(path) in str(caught.value)
+
+    def test_default_width_file_is_its_raw_buffers(self, tmp_path):
+        cfg = RunConfig(env="pendulum")
+        env = make_env(cfg.env)
+        agent = build_agent(cfg, env.spec, make_streams(cfg.seed))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, agent, cfg, env.spec)
+        # six networks, plus Adam's two moments for three of them
+        params = sum(net.flat.size for net in (agent.phi, *agent.critics.theta))
+        values = 2 * params + 2 * params
+        assert abs(path.stat().st_size - 8 * values) <= 64 * 1024
+
+
+@pytest.mark.parametrize("previous", [b"old artifact", None])
+def test_failed_write_leaves_the_previous_file(tmp_path, previous):
+    path = tmp_path / "summary.json"
+    if previous is not None:
+        path.write_bytes(previous)
+
+    def serializer(f):
+        f.write(b'{"half": ')
+        raise RuntimeError("serializer failed mid-write")
+
+    with pytest.raises(RuntimeError, match="mid-write"):
+        write_atomic(path, serializer)
+    assert (path.read_bytes() if path.exists() else None) == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([path.name] if previous else [])
+    write_atomic(path, lambda f: f.write(b"new"))
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestTrain:
@@ -159,7 +243,7 @@ class TestTrain:
         cfg = tiny_cfg(tmp_path, total_iterations=0)
         summary = train(cfg)
         out = Path(cfg.out_dir)
-        assert (out / "checkpoint_0.json").exists()
+        assert (out / "checkpoint_0.npz").exists()
         assert (out / "summary.json").exists()
         assert summary["env_steps"] == 0
         echo = json.loads((out / "summary.json").read_text())["config"]
@@ -169,8 +253,8 @@ class TestTrain:
         cfg = tiny_cfg(tmp_path, warm_size=1000, total_iterations=3)
         summary = train(cfg)
         assert summary["critic_updates"] == 0
-        initial, _ = load_checkpoint(Path(cfg.out_dir) / "checkpoint_0.json")
-        final, _ = load_checkpoint(Path(cfg.out_dir) / "checkpoint_3.json")
+        initial, _ = load_checkpoint(Path(cfg.out_dir) / "checkpoint_0.npz")
+        final, _ = load_checkpoint(Path(cfg.out_dir) / "checkpoint_3.npz")
         assert params_equal(initial.phi, final.phi)
         for i in range(2):
             assert params_equal(initial.critics.theta[i], final.critics.theta[i])
@@ -204,7 +288,7 @@ class TestTrain:
         cfg = tiny_cfg(tmp_path)
         train(cfg)
         out = Path(cfg.out_dir)
-        for name in ("metrics.csv", "summary.json", "curves.svg", "checkpoint_0.json", "checkpoint_6.json"):
+        for name in ("metrics.csv", "summary.json", "curves.svg", "checkpoint_0.npz", "checkpoint_6.npz"):
             assert (out / name).exists(), name
         svg = (out / "curves.svg").read_text()
         assert svg.startswith("<svg") and "avg_return" in svg
@@ -226,7 +310,7 @@ class TestEvaluate:
     def test_single_episode_zero_std(self, tmp_path):
         cfg = tiny_cfg(tmp_path, total_iterations=0)
         train(cfg)
-        mean, std = evaluate(Path(cfg.out_dir) / "checkpoint_0.json", episodes=1)
+        mean, std = evaluate(Path(cfg.out_dir) / "checkpoint_0.npz", episodes=1)
         assert std == 0.0
 
     def test_zero_policy_upright_pendulum(self):
@@ -258,7 +342,7 @@ class TestEvaluate:
         cfg = tiny_cfg(tmp_path, total_iterations=0)
         train(cfg)
         with pytest.raises(ConfigError):
-            evaluate(Path(cfg.out_dir) / "checkpoint_0.json", env=PointRobotEnv(), episodes=1)
+            evaluate(Path(cfg.out_dir) / "checkpoint_0.npz", env=PointRobotEnv(), episodes=1)
 
     def test_eval_uses_raw_rewards_under_scaling(self, tmp_path):
         # same seed and an untouched policy (warm never reached): the
@@ -276,7 +360,7 @@ class TestMeasureBias:
         cfg = tiny_cfg(tmp_path, total_iterations=3, gamma=0.0)
         train(cfg)
         report = measure_bias(
-            Path(cfg.out_dir) / "checkpoint_3.json", n_samples=4, n_rollouts=3
+            Path(cfg.out_dir) / "checkpoint_3.npz", n_samples=4, n_rollouts=3
         )
         assert len(report.pairs) == 4
         assert report.horizon == 1
@@ -402,7 +486,7 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "final_return" in out
-        ckpt = tmp_path / "run" / "checkpoint_4.json"
+        ckpt = tmp_path / "run" / "checkpoint_4.npz"
         assert cli_main(["eval", "--checkpoint", str(ckpt), "--episodes", "2"]) == 0
         assert "avg_return" in capsys.readouterr().out
         assert cli_main(["bias", "--checkpoint", str(ckpt), "--samples", "2", "--rollouts", "2"]) == 0
@@ -470,8 +554,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
     def test_incomplete_checkpoint_exit_code(self, tmp_path, capsys, command):
-        ckpt = tmp_path / "ckpt.json"
-        ckpt.write_text(json.dumps({"format_version": 1}))
+        ckpt, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(ckpt, edit_header(lambda header: header.pop("config")))
         assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
         assert "config error: checkpoint lacks ['config']" in capsys.readouterr().err
 

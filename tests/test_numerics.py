@@ -51,6 +51,17 @@ def test_forward_identity_layer():
     assert np.array_equal(out, x)
 
 
+def test_gelu_layer_is_gelu_bit_for_bit(rng):
+    """A one-layer GELU network computes gelu and backpropagates gelu_grad
+    exactly, so the GELU tests above judge the engine's formula."""
+    x = rng.standard_normal((64, 5)) * 3.0
+    net = ParamSet([identity_layer(5, "gelu")])
+    out, cache = mlp_forward(net, x)
+    assert np.array_equal(out, gelu(x))
+    _, input_grad = mlp_backward(net, cache, np.ones_like(x))
+    assert np.array_equal(input_grad, gelu_grad(x))
+
+
 def test_forward_deterministic(rng):
     net, sizes = random_net(rng)
     x = rng.standard_normal(sizes[0])
