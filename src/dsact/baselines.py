@@ -35,5 +35,10 @@ FAMILIES = {
 
 def build_variant(spec: KernelSpec):
     """The critic-update procedure of one kernel: `critic_update` with
-    `spec` bound, so the full spec is the full kernel itself."""
+    `spec` bound, so the full spec is the full kernel itself.
+
+    It stays until the benchmark stops pinning it: `perfbench/tracer.py`
+    wraps its result as `critic.update`, and `perfbench/test_tracer.py`
+    checks that `harness.build_variant` is still `baselines.build_variant`
+    after a traced run."""
     return functools.partial(critic_update, spec=spec)

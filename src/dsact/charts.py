@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .harness_util import write_atomic
+
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
 
@@ -23,7 +25,8 @@ def write_line_chart(
     width: int = 720,
     height: int = 440,
 ) -> None:
-    """Write a multi-series line chart; series maps label -> (xs, ys)."""
+    """Write a multi-series line chart, atomically; series maps label ->
+    (xs, ys)."""
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 50
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -87,4 +90,5 @@ def write_line_chart(
             f'<text x="{margin_l + 34}" y="{ly}">{label}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    svg = "\n".join(parts).encode()
+    write_atomic(path, lambda f: f.write(svg))

@@ -15,6 +15,7 @@ import dataclasses
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,6 +82,16 @@ class RunConfig:
         for name, value in values:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        # the ordered checks below need numbers; a bool is not one here
+        for f in dataclasses.fields(self):
+            kind, value = f.type.removesuffix(" | None"), getattr(self, f.name)
+            if kind not in ("int", "float") or (value is None and f.type != kind):
+                continue
+            wanted, noun = (numbers.Integral, "an integer") if kind == "int" else (numbers.Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.env, str) or self.env not in ENV_BUILDERS:
             raise ConfigError(f"unknown env {self.env!r}; choose from {sorted(ENV_BUILDERS)}")
         params = inspect.signature(ENV_BUILDERS[self.env]).parameters

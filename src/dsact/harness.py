@@ -108,9 +108,19 @@ def evaluate_policy(
     return float(np.mean(returns)), std
 
 
+def _check_counts(seed: int, **counts: int) -> None:
+    """Reject a negative seed or a count below one, naming the argument."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    for name, n in counts.items():
+        if n < 1:
+            raise ConfigError(f"{name} must be >= 1, got {n}")
+
+
 def evaluate(checkpoint: str | Path, env=None, episodes: int = 10, deterministic: bool = True, seed: int = 0):
     """Evaluate a stored policy; builds the env from the checkpoint's
     config echo when none is given."""
+    _check_counts(seed, episodes=episodes)
     agent, doc = load_checkpoint(checkpoint)
     cfg = config_from_dict(doc["config"])
     if env is None:
@@ -352,6 +362,7 @@ def measure_bias(
     Negative mean bias means underestimation. Truth rollouts follow the
     stored stochastic policy with entropy bonuses after the first step.
     """
+    _check_counts(seed, n_samples=n_samples, n_rollouts=n_rollouts)
     agent, doc = load_checkpoint(checkpoint)
     cfg = config_from_dict(doc["config"])
     if env is None:

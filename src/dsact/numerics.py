@@ -7,8 +7,17 @@ derivatives without an autodiff framework.
 
 Each network's parameters live in one flat buffer (its arena), and
 every layer's weight and bias is a view into it. Gradients and Adam
-moments use the same layout, so Adam, soft updates and finite checks
-are single vector passes over the buffer.
+moments are bare flat buffers in the same layout, so Adam, soft updates
+and finite checks are single vector passes over the buffer; only
+`ParamSet` has per-layer views (`layers`), because the forward and
+backward passes walk them.
+
+A name in `dsact` exists only if engine code, the CLI or the benchmark
+(`perfbench/`) calls it, or if it is a judge the tests hold production
+to: the oracles, `critic._assemble_fixed_boundary_gradient`, and
+`gelu`/`gelu_grad` as the named form of the production GELU. Tests
+reach everything else through the production API: `.flat`, `.layout`,
+`Layout.weight_views`/`bias_views`/`pack` and `ParamSet.layers`.
 """
 
 from __future__ import annotations
@@ -105,29 +114,13 @@ class Layout:
         return flat
 
 
-class _Arena:
-    """Owner of flat buffers whose per-layer views are cut lazily, on
-    first access, and cached on the instance.
-
-    The cached views are left out of the pickled or deep-copied state, so
-    a copy cuts its own views from its own buffers and keeps them aliased.
-    """
-
-    _views: tuple[str, ...] = ()
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in self._views}
-
-
-class ParamSet(_Arena):
+class ParamSet:
     """Ordered affine layers; the unit of ownership for one network.
 
     Every parameter lives in one float64 buffer, ``flat``; each layer's
     weight and bias are views into it. ``ParamSet(layers)`` copies the
     given arrays into a new buffer.
     """
-
-    _views = ("layers",)
 
     def __init__(self, layers: list[Layer]):
         weights = [np.asarray(l.weight, dtype=np.float64) for l in layers]
@@ -148,101 +141,43 @@ class ParamSet(_Arena):
         weights, biases = self.layout.weight_views(self.flat), self.layout.bias_views(self.flat)
         return [Layer(w, b, a) for w, b, a in zip(weights, biases, self.activations)]
 
+    def __getstate__(self):
+        # a pickled or deep-copied network cuts its own views from its own buffer
+        return {k: v for k, v in self.__dict__.items() if k != "layers"}
+
     @property
     def in_dim(self) -> int:
         return self.layers[0].weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
 
     def copy(self) -> "ParamSet":
         return ParamSet.from_flat(self.flat.copy(), self.layout, self.activations)
 
 
-class GradSet(_Arena):
-    """Per-parameter partials in the layout of a ParamSet: one buffer,
-    ``flat``, with per-layer views ``d_weights`` and ``d_biases``."""
+class GradSet:
+    """Per-parameter partials over ``flat`` itself (no copy), in a
+    network's layout."""
 
-    _views = ("d_weights", "d_biases")
-
-    def __init__(self, d_weights: list[np.ndarray], d_biases: list[np.ndarray]):
-        d_weights = [np.asarray(dw, dtype=np.float64) for dw in d_weights]
-        d_biases = [np.asarray(db, dtype=np.float64) for db in d_biases]
-        self.layout = Layout((w.shape, b.shape) for w, b in zip(d_weights, d_biases, strict=True))
-        self.flat = self.layout.pack(d_weights, d_biases)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, layout: Layout) -> "GradSet":
-        """A gradient over ``flat`` itself (no copy)."""
-        grads = cls.__new__(cls)
-        grads.flat, grads.layout = flat, layout
-        return grads
-
-    @cached_property
-    def d_weights(self) -> list[np.ndarray]:
-        return self.layout.weight_views(self.flat)
-
-    @cached_property
-    def d_biases(self) -> list[np.ndarray]:
-        return self.layout.bias_views(self.flat)
+    def __init__(self, flat: np.ndarray, layout: Layout):
+        self.flat, self.layout = flat, layout
 
     def scale(self, c: float) -> "GradSet":
         """Multiply in place and return self; the caller must own the buffer."""
         self.flat *= c
         return self
 
-    def add(self, other: "GradSet") -> "GradSet":
-        if other.layout != self.layout:
-            raise ValueError("gradient layouts differ")
-        return GradSet.from_flat(self.flat + other.flat, self.layout)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.flat))) if self.flat.size else 0.0
-
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
 
 
-def zeros_grad(params: ParamSet) -> GradSet:
-    return GradSet.from_flat(np.zeros(params.layout.size), params.layout)
+class AdamState:
+    """First and second moments ``m`` and ``v`` in a network's layout, and
+    the step count; the betas and delta are the module constants."""
 
-
-class AdamState(_Arena):
-    """First and second moments in the layout of one network: flat
-    buffers ``m`` and ``v`` with per-layer views ``m_weights``,
-    ``m_biases``, ``v_weights`` and ``v_biases``."""
-
-    _views = ("m_weights", "m_biases", "v_weights", "v_biases")
-
-    def __init__(
-        self,
-        layout: Layout,
-        step: int = 0,
-        beta1: float = ADAM_BETA1,
-        beta2: float = ADAM_BETA2,
-        delta: float = ADAM_DELTA,
-    ):
+    def __init__(self, layout: Layout, step: int = 0):
         self.layout = layout
         self.m = np.zeros(layout.size)
         self.v = np.zeros(layout.size)
-        self.step, self.beta1, self.beta2, self.delta = step, beta1, beta2, delta
-
-    @cached_property
-    def m_weights(self) -> list[np.ndarray]:
-        return self.layout.weight_views(self.m)
-
-    @cached_property
-    def m_biases(self) -> list[np.ndarray]:
-        return self.layout.bias_views(self.m)
-
-    @cached_property
-    def v_weights(self) -> list[np.ndarray]:
-        return self.layout.weight_views(self.v)
-
-    @cached_property
-    def v_biases(self) -> list[np.ndarray]:
-        return self.layout.bias_views(self.v)
+        self.step = step
 
 
 def init_adam(params: ParamSet) -> AdamState:
@@ -333,7 +268,7 @@ def mlp_backward(
         flat[b] = g.sum(axis=0)
         g = g @ layer.weight
     input_grad = g[0] if cache.single else g
-    return GradSet.from_flat(flat, layout), input_grad
+    return GradSet(flat, layout), input_grad
 
 
 def adam_step(
@@ -349,7 +284,7 @@ def adam_step(
         raise NumericalError("non-finite gradient entry in adam_step")
     state.step += 1
     t = state.step
-    b1, b2, d = state.beta1, state.beta2, state.delta
+    b1, b2, d = ADAM_BETA1, ADAM_BETA2, ADAM_DELTA
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     m, v, g = state.m, state.v, grads.flat

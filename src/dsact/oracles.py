@@ -43,7 +43,7 @@ def finite_diff_grad(scalar_fn, params: ParamSet, h: float) -> GradSet:
         f_minus = scalar_fn(params)
         flat[k] = orig
         gflat[k] = (f_plus - f_minus) / (2.0 * h)
-    return GradSet.from_flat(gflat, params.layout)
+    return GradSet(gflat, params.layout)
 
 
 def mc_true_q(

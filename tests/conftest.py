@@ -4,10 +4,15 @@ import pytest
 from dsact.numerics import GradSet, ParamSet, init_mlp
 
 
+def per_array(flat: np.ndarray, layout) -> list[np.ndarray]:
+    """The weight and bias views of a flat buffer, weights first."""
+    return layout.weight_views(flat) + layout.bias_views(flat)
+
+
 def grad_rel_err(got: GradSet, want: GradSet) -> float:
     """Worst per-array relative error, normalized by the larger max-norm."""
     worst = 0.0
-    for a, f in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
+    for a, f in zip(per_array(got.flat, got.layout), per_array(want.flat, want.layout)):
         denom = max(np.max(np.abs(a)), np.max(np.abs(f)), 1e-12)
         worst = max(worst, float(np.max(np.abs(a - f)) / denom))
     return worst

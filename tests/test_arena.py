@@ -1,11 +1,13 @@
-"""The flat parameter arena: every network, gradient and Adam state keeps
-one buffer with per-layer views into it.
+"""The flat parameter arena: every network keeps one buffer with
+per-layer views into it; gradients and Adam moments are flat buffers in
+the network's layout.
 
-Two kinds of check. Aliasing: however a network or state was made (init,
-copy, deepcopy, checkpoint load), its views write through to its own
-buffer, so a whole-buffer update moves the network's outputs. Bits: the
-per-layer code the arena replaced is kept here as a reference, and the
-arena's single-pass ops must match it exactly, down to a training run's
+Two kinds of check. Aliasing: however a network was made (init, copy,
+deepcopy, checkpoint load), its views write through to its own buffer,
+so a whole-buffer update moves the network's outputs. Bits: the
+per-layer code the arena replaced is kept here as a reference, slicing
+gradients and moments with the layout's views, and the arena's
+single-pass ops must match it exactly, down to a training run's
 metrics.csv.
 """
 
@@ -33,10 +35,9 @@ from dsact.numerics import (
     mlp_backward,
     mlp_forward,
     params_all_finite,
-    zeros_grad,
 )
 
-from conftest import params_equal, random_net
+from conftest import params_equal, per_array, random_net
 from test_harness import tiny_cfg
 
 
@@ -44,13 +45,13 @@ from test_harness import tiny_cfg
 
 
 def ref_is_finite(grads):
-    return all(np.all(np.isfinite(dw)) for dw in grads.d_weights) and all(
-        np.all(np.isfinite(db)) for db in grads.d_biases
-    )
+    return all(np.all(np.isfinite(a)) for a in per_array(grads.flat, grads.layout))
 
 
 def ref_scale(grads, c):
-    return GradSet([c * dw for dw in grads.d_weights], [c * db for db in grads.d_biases])
+    layout = grads.layout
+    d_weights, d_biases = layout.weight_views(grads.flat), layout.bias_views(grads.flat)
+    return GradSet(layout.pack([c * dw for dw in d_weights], [c * db for db in d_biases]), layout)
 
 
 def ref_adam_step(state, params, grads, lr):
@@ -60,13 +61,17 @@ def ref_adam_step(state, params, grads, lr):
         raise NumericalError("non-finite gradient entry in adam_step")
     state.step += 1
     t = state.step
-    b1, b2, d = state.beta1, state.beta2, state.delta
+    b1, b2, d = numerics.ADAM_BETA1, numerics.ADAM_BETA2, numerics.ADAM_DELTA
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
+    layout = params.layout
+    m_weights, m_biases = layout.weight_views(state.m), layout.bias_views(state.m)
+    v_weights, v_biases = layout.weight_views(state.v), layout.bias_views(state.v)
+    d_weights, d_biases = layout.weight_views(grads.flat), layout.bias_views(grads.flat)
     for i, layer in enumerate(params.layers):
         for m, v, g, p in (
-            (state.m_weights[i], state.v_weights[i], grads.d_weights[i], layer.weight),
-            (state.m_biases[i], state.v_biases[i], grads.d_biases[i], layer.bias),
+            (m_weights[i], v_weights[i], d_weights[i], layer.weight),
+            (m_biases[i], v_biases[i], d_biases[i], layer.bias),
         ):
             m *= b1
             m += (1.0 - b1) * g
@@ -110,7 +115,7 @@ def ref_mlp_backward(params, cache, output_grad):
         d_biases[i] = g.sum(axis=0)
         g = g @ layer.weight
     input_grad = g[0] if cache.single else g
-    return GradSet(d_weights, d_biases), input_grad
+    return GradSet(params.layout.pack(d_weights, d_biases), params.layout), input_grad
 
 
 def ref_params_all_finite(params):
@@ -120,22 +125,11 @@ def ref_params_all_finite(params):
 # ---- aliasing ----
 
 
-def view_owner_pairs(obj):
-    if isinstance(obj, ParamSet):
-        return [(a, obj.flat) for l in obj.layers for a in (l.weight, l.bias)]
-    if isinstance(obj, GradSet):
-        return [(a, obj.flat) for a in obj.d_weights + obj.d_biases]
-    return [(a, obj.m) for a in obj.m_weights + obj.m_biases] + [
-        (a, obj.v) for a in obj.v_weights + obj.v_biases
-    ]
-
-
-def assert_aliased(obj):
-    pairs = view_owner_pairs(obj)
-    for view, owner in pairs:
-        assert np.shares_memory(view, owner)
-    owners = {id(owner): owner for _, owner in pairs}
-    assert sum(view.size for view, _ in pairs) == sum(o.size for o in owners.values())
+def assert_aliased(net):
+    views = [a for l in net.layers for a in (l.weight, l.bias)]
+    for view in views:
+        assert np.shares_memory(view, net.flat)
+    assert sum(view.size for view in views) == net.flat.size
 
 
 def nets_and_states(how, tmp_path):
@@ -175,11 +169,8 @@ def test_views_alias_the_buffer_and_updates_reach_the_outputs(how, tmp_path):
         x = rng.standard_normal((4, net.in_dim))
         out0, cache = mlp_forward(net, x)
         grads, _ = mlp_backward(net, cache, rng.standard_normal(out0.shape))
-        assert_aliased(grads)
         if state is not None:
-            assert_aliased(state)
             adam_step(state, net, grads, 1e-2)
-            assert_aliased(state)
             out1 = mlp_forward(net, x)[0]
             assert not np.array_equal(out0, out1)
             out0 = out1
@@ -202,14 +193,6 @@ def test_copies_own_their_buffers(rng):
         *((p.m, q.m) for p, q in zip(pair.adam, pair2.adam)),
     ]:
         assert not np.shares_memory(a, b)
-
-
-def test_gradset_ops_keep_aliasing(rng):
-    net, _ = random_net(rng)
-    g = zeros_grad(net)
-    for made in (g, g.scale(2.0), g.add(g), GradSet(g.d_weights, g.d_biases)):
-        assert_aliased(made)
-        assert made.layout == net.layout
 
 
 @pytest.mark.parametrize(
@@ -235,9 +218,9 @@ def test_adam_step_rejects_mismatched_layouts(rng):
     net = init_mlp(rng, [2, 4, 1])
     other = init_mlp(rng, [2, 3, 2])
     with pytest.raises(ValueError):
-        adam_step(init_adam(net), net, zeros_grad(other), 1e-3)
+        adam_step(init_adam(net), net, GradSet(np.zeros(other.layout.size), other.layout), 1e-3)
     with pytest.raises(ValueError):
-        adam_step(init_adam(other), net, zeros_grad(net), 1e-3)
+        adam_step(init_adam(other), net, GradSet(np.zeros(net.layout.size), net.layout), 1e-3)
 
 
 # ---- bits: arena ops against the per-layer reference ----
@@ -255,7 +238,7 @@ def test_arena_ops_match_per_layer_reference(rng):
             grads, input_grad = mlp_backward(net, mlp_forward(net, x)[1], og)
             ref_grads, ref_input_grad = ref_mlp_backward(ref_net, mlp_forward(ref_net, x)[1], og)
             assert np.array_equal(input_grad, ref_input_grad)
-            for a, b in zip(grads.d_weights + grads.d_biases, ref_grads.d_weights + ref_grads.d_biases):
+            for a, b in zip(per_array(grads.flat, grads.layout), per_array(ref_grads.flat, ref_grads.layout)):
                 assert np.array_equal(a, b)
             c = float(rng.uniform(0.1, 3.0))
             assert grads.is_finite() == ref_is_finite(ref_grads)
@@ -265,8 +248,8 @@ def test_arena_ops_match_per_layer_reference(rng):
             ref_soft_update(ref_net, ref_target, 0.3)
             assert params_equal(net, ref_net) and params_equal(target, ref_target)
             for a, b in zip(
-                state.m_weights + state.m_biases + state.v_weights + state.v_biases,
-                ref_state.m_weights + ref_state.m_biases + ref_state.v_weights + ref_state.v_biases,
+                per_array(state.m, state.layout) + per_array(state.v, state.layout),
+                per_array(ref_state.m, ref_state.layout) + per_array(ref_state.v, ref_state.layout),
             ):
                 assert np.array_equal(a, b)
             assert params_all_finite(net) == ref_params_all_finite(ref_net)
@@ -274,13 +257,13 @@ def test_arena_ops_match_per_layer_reference(rng):
 
 def test_finite_checks_see_every_array(rng):
     net, _ = random_net(rng)
-    assert params_all_finite(net) and zeros_grad(net).is_finite()
+    assert params_all_finite(net) and GradSet(np.zeros(net.layout.size), net.layout).is_finite()
     for value in (np.nan, np.inf, -np.inf):
         for i in range(len(net.layers)):
             for part in ("weight", "bias"):
                 probe = net.copy()
                 getattr(probe.layers[i], part).flat[-1] = value
-                grads = GradSet.from_flat(probe.flat.copy(), probe.layout)
+                grads = GradSet(probe.flat.copy(), probe.layout)
                 assert not params_all_finite(probe) and not ref_params_all_finite(probe)
                 assert not grads.is_finite() and not ref_is_finite(grads)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dsact.agent import build_agent, load_checkpoint, save_checkpoint
+from dsact.charts import write_line_chart
 from dsact.config import ConfigError, RunConfig, config_from_dict, load_config
 from dsact.environments import PendulumEnv, make_env
 from dsact.harness import (
@@ -238,6 +239,19 @@ def test_failed_write_leaves_the_previous_file(tmp_path, previous):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def test_chart_is_replaced_whole(tmp_path):
+    """A reader that opened the previous chart still reads all of it
+    while a new one is written, and no temp file is left behind."""
+    path = tmp_path / "curves.svg"
+    write_line_chart(path, {"a": ([0.0, 1.0], [0.0, 1.0])}, "old", "x", "y")
+    old = path.read_bytes()
+    with path.open("rb") as reader:
+        write_line_chart(path, {"a": ([0.0, 1.0], [1.0, 0.0])}, "new", "x", "y")
+        assert reader.read() == old
+    assert path.read_bytes() != old
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 class TestTrain:
     def test_zero_iterations_outputs_config_and_checkpoint(self, tmp_path):
         cfg = tiny_cfg(tmp_path, total_iterations=0)
@@ -292,6 +306,7 @@ class TestTrain:
             assert (out / name).exists(), name
         svg = (out / "curves.svg").read_text()
         assert svg.startswith("<svg") and "avg_return" in svg
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
     def test_fixture_constants_echoed(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -543,6 +558,16 @@ class TestCli:
             ({"algorithm": "sac", "expected_value_substitution": False}, "expected_value_substitution=False"),
             ({"algorithm": "sac", "variance_adjustment": True}, "variance_adjustment=True"),
             ({"algorithm": "dsacv1", "twin_distributions": True}, "twin_distributions=True"),
+            # numeric fields take numbers of their kind, never a bool
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": "x"}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"batch_size": 16.5}, "batch_size must be an integer"),
+            ({"total_iterations": 2.5}, "total_iterations must be an integer"),
+            ({"eval_interval": "3"}, "eval_interval must be an integer"),
+            ({"gamma": "0.9"}, "gamma must be a number"),
+            ({"tau": False}, "tau must be a number"),
         ],
     )
     def test_config_error_names_the_key_exit_code(self, tmp_path, capsys, overrides, named):
@@ -551,6 +576,23 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path)]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, named",
+        [
+            (["bias", "--rollouts", "0"], "n_rollouts must be >= 1, got 0"),
+            (["bias", "--samples", "0"], "n_samples must be >= 1, got 0"),
+            (["bias", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["eval", "--episodes", "0"], "episodes must be >= 1, got 0"),
+            (["eval", "--episodes", "-1"], "episodes must be >= 1, got -1"),
+            (["eval", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_count_or_seed_names_the_argument_exit_code(self, tmp_path, capsys, command, named):
+        ckpt, _ = saved_checkpoint(tmp_path)
+        assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
     def test_incomplete_checkpoint_exit_code(self, tmp_path, capsys, command):
