@@ -20,7 +20,6 @@ from .distributions import (
     LOG_STD_MIN,
     PolicyDistParams,
     policy_head,
-    policy_logprob,
     policy_sample,
 )
 from .numerics import GradSet, NumericalError, ParamSet, mlp_backward, mlp_forward
@@ -43,8 +42,7 @@ def policy_forward(phi: ParamSet, states: np.ndarray) -> PolicyDistParams:
 def act_stochastic(phi: ParamSet, obs: np.ndarray, rng: np.random.Generator):
     """Sample an action for rollout; returns (action, logp)."""
     dist = policy_forward(phi, obs)
-    u, a = policy_sample(dist, rng.standard_normal(dist.mu.shape))
-    return a, policy_logprob(dist, u)
+    return policy_sample(dist, rng.standard_normal(dist.mu.shape))
 
 
 def act_deterministic(phi: ParamSet, obs: np.ndarray) -> np.ndarray:
@@ -74,7 +72,7 @@ def actor_gradient(
     raw_ls = raw[:, d:]
     in_range = ((raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)).astype(np.float64)
     zeta = rng.standard_normal((n, d))
-    _, t = policy_sample(dist, zeta)
+    t, _ = policy_sample(dist, zeta)
 
     q_vals = []
     caches = []

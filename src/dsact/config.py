@@ -127,6 +127,9 @@ class RunConfig:
             raise ConfigError("total_iterations must be >= 0")
         if self.updates_per_iteration is not None and self.updates_per_iteration < 0:
             raise ConfigError("updates_per_iteration must be >= 0")
+        # train checkpoints when iteration % interval == 0: 0 would never fire, -2 every other time
+        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
+            raise ConfigError(f"checkpoint_interval must be null or >= 1, got {self.checkpoint_interval}")
         if self.fixed_boundary_b <= 0:
             raise ConfigError("fixed_boundary_b must be positive")
         if not all(h >= 1 for h in (*self.hidden_actor, *self.hidden_critic)):
@@ -174,12 +177,18 @@ def config_from_dict(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(doc)
+    for key in ("hidden_actor", "hidden_critic"):
+        if key in kwargs:
+            sizes = kwargs[key]
+            # int(h) would train 8.7 as 8, true as 1 and "8" as 8
+            if not isinstance(sizes, list) or not all(
+                isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in sizes
+            ):
+                raise ConfigError(f"{key} must be a list of integers, got {sizes!r}")
+            kwargs[key] = tuple(int(h) for h in sizes)
     try:
-        for key in ("hidden_actor", "hidden_critic"):
-            if key in kwargs:
-                kwargs[key] = tuple(int(h) for h in kwargs[key])
         cfg = RunConfig(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg.validate()
 

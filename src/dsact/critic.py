@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import policy_head, policy_logprob, policy_sample, value_head_batch, value_head_sigma_grad
+from .distributions import policy_head, policy_sample, value_head_batch, value_head_sigma_grad
 from .numerics import (
     AdamState,
     GradSet,
@@ -95,7 +95,7 @@ def critic_forward(theta: ParamSet, states: np.ndarray, actions: np.ndarray):
 
 def clip_target(y_z, q_current, b):
     """Clamp the random target into [q_current - b, q_current + b]."""
-    return np.clip(y_z, q_current - b, q_current + b)
+    return np.asarray(y_z).clip(q_current - b, q_current + b)
 
 
 def _coeff_arrays(mean_target, y_z_clipped, q, sigma, eps):
@@ -154,8 +154,7 @@ def build_targets(
     """
     raw, _ = mlp_forward(policy_target, s2)
     dist = policy_head(raw)
-    u, a2 = policy_sample(dist, rng.standard_normal(dist.mu.shape))
-    logp = policy_logprob(dist, u)
+    a2, logp = policy_sample(dist, rng.standard_normal(dist.mu.shape))
 
     q_bars = []
     sigma_bars = []

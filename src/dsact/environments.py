@@ -86,12 +86,13 @@ class PendulumEnv:
         return np.array([np.cos(self.th), np.sin(self.th), self.thdot])
 
     def step(self, action: np.ndarray):
-        u = float(np.clip(action, -1.0, 1.0)[0]) * self.MAX_TORQUE
+        # ndarray.clip and min/max give np.clip's floats (NaN too) without its dispatch
+        u = float(np.asarray(action).clip(-1.0, 1.0)[0]) * self.MAX_TORQUE
         th_norm = wrap_angle(self.th)
         cost = th_norm**2 + 0.1 * self.thdot**2 + 0.001 * u**2
         g, m, l, dt = self.GRAVITY, self.MASS, self.LENGTH, self.DT
         self.thdot += (3.0 * g / (2.0 * l) * np.sin(self.th) + 3.0 / (m * l**2) * u) * dt
-        self.thdot = float(np.clip(self.thdot, -self.MAX_SPEED, self.MAX_SPEED))
+        self.thdot = float(min(max(self.thdot, -self.MAX_SPEED), self.MAX_SPEED))
         self.th = float(self.th + self.thdot * dt)
         self.steps += 1
         truncated = self.steps >= self.spec.max_episode_steps
@@ -307,7 +308,7 @@ class BanditChainEnv:
         return obs
 
     def step(self, action: np.ndarray):
-        a0 = float(np.clip(action, -1.0, 1.0)[0])
+        a0 = float(np.asarray(action).clip(-1.0, 1.0)[0])
         r = self.chain.mean_reward(self.state, a0)
         if self.chain.noise_std > 0:
             r += self.chain.noise_std * self._rng.standard_normal()

@@ -25,7 +25,7 @@ from .baselines import build_variant
 from .charts import write_line_chart
 from .config import ConfigError, RunConfig, config_from_dict
 from .critic import critic_forward, soft_update
-from .distributions import policy_logprob, policy_sample
+from .distributions import policy_sample
 from .environments import make_env
 from .harness_util import derived_seed, write_atomic
 from .numerics import NumericalError, adam_step, params_all_finite
@@ -150,8 +150,8 @@ def _probe_metrics(agent: AgentState, buffer: ReplayBuffer, cfg: RunConfig, acti
         q_means.append(np.mean(q))
         sigma_means.append(np.mean(sigma))
     dist = policy_forward(agent.phi, s)
-    u, _ = policy_sample(dist, rng.standard_normal(dist.mu.shape))
-    entropy = float(np.mean(-policy_logprob(dist, u)))
+    _, logp = policy_sample(dist, rng.standard_normal(dist.mu.shape))
+    entropy = float(np.mean(-logp))
     return float(np.mean(q_means)), float(np.mean(sigma_means)), entropy
 
 
@@ -235,10 +235,8 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                         actor_updates += 1
                         dist = policy_forward(agent.phi, s_batch)
                         noise = streams["temp_noise"].standard_normal(dist.mu.shape)
-                        u, _ = policy_sample(dist, noise)
-                        agent.temperature = temperature_update(
-                            agent.temperature, policy_logprob(dist, u)
-                        )
+                        _, logp = policy_sample(dist, noise)
+                        agent.temperature = temperature_update(agent.temperature, logp)
                         for i in active:
                             soft_update(agent.critics.theta[i], agent.critics.theta_bar[i], cfg.tau)
                         soft_update(agent.phi, agent.phi_bar, cfg.tau)

@@ -14,16 +14,18 @@ backward passes walk them.
 
 A name in `dsact` exists only if engine code, the CLI or the benchmark
 (`perfbench/`) calls it, or if it is a judge the tests hold production
-to: the oracles, `critic._assemble_fixed_boundary_gradient`, and
-`gelu`/`gelu_grad` as the named form of the production GELU. Tests
-reach everything else through the production API: `.flat`, `.layout`,
-`Layout.weight_views`/`bias_views`/`pack` and `ParamSet.layers`.
+to: the oracles, `critic._assemble_fixed_boundary_gradient`,
+`gelu`/`gelu_grad` as the named form of the production GELU, and
+`distributions.policy_logprob` as the named form of the log density
+`policy_sample` returns. Tests reach everything else through the
+production API: `.flat`, `.layout`, `Layout.weight_views`/`bias_views`/
+`pack` and `ParamSet.layers`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,8 +35,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_DELTA = 1e-8
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# The GELU CDF's constants are 0-d float64 arrays, not Python floats:
+# numpy converts a Python float operand anew on every ufunc call, which
+# adds about half again to each op on a batch-1 row. Same floats.
+_INV_SQRT2, _ONE, _HALF = np.array(1.0 / np.sqrt(2.0)), np.array(1.0), np.array(0.5)
 
 
 class NumericalError(RuntimeError):
@@ -42,8 +47,14 @@ class NumericalError(RuntimeError):
 
 
 def _gelu_cdf(z):
-    """Phi(z), the exact normal CDF (erf form); GELU(z) = z * Phi(z)."""
-    return 0.5 * (1.0 + erf(z * _INV_SQRT2))
+    """Phi(z), the exact normal CDF (erf form); GELU(z) = z * Phi(z).
+
+    Computed as 0.5 * (1 + erf(z * (1 / sqrt 2))), in place on the erf result
+    (a numpy scalar for 0-d input, which the augmented ops rebind)."""
+    cdf = erf(z * _INV_SQRT2)
+    cdf += _ONE
+    cdf *= _HALF
+    return cdf
 
 
 def _gelu_slope(z, cdf):
@@ -145,10 +156,6 @@ class ParamSet:
         # a pickled or deep-copied network cuts its own views from its own buffer
         return {k: v for k, v in self.__dict__.items() if k != "layers"}
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
-
     def copy(self) -> "ParamSet":
         return ParamSet.from_flat(self.flat.copy(), self.layout, self.activations)
 
@@ -203,15 +210,18 @@ def init_mlp(rng: np.random.Generator, sizes: list[int]) -> ParamSet:
     return ParamSet(layers)
 
 
-@dataclass
 class ForwardCache:
     """Activation trace: per-layer inputs, pre-activations, and the
-    normal CDF values reused by the GELU derivative."""
+    normal CDF values reused by the GELU derivative (None on identity
+    layers); ``single`` marks a one-vector forward."""
 
-    inputs: list[np.ndarray] = field(default_factory=list)
-    pre_acts: list[np.ndarray] = field(default_factory=list)
-    cdfs: list[np.ndarray | None] = field(default_factory=list)
-    single: bool = False
+    __slots__ = ("inputs", "pre_acts", "cdfs", "single")
+
+    def __init__(self, single: bool = False):
+        self.inputs: list[np.ndarray] = []
+        self.pre_acts: list[np.ndarray] = []
+        self.cdfs: list[np.ndarray | None] = []
+        self.single = single
 
 
 def mlp_forward(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -219,21 +229,23 @@ def mlp_forward(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, ForwardCac
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     h = x[None, :] if single else x
-    if h.shape[1] != params.in_dim:
-        raise ValueError(
-            f"input width {h.shape[1]} does not match network in_dim {params.in_dim}"
-        )
-    cache = ForwardCache(single=single)
-    for layer in params.layers:
-        cache.inputs.append(h)
-        z = h @ layer.weight.T + layer.bias
-        cache.pre_acts.append(z)
+    layers = params.layers
+    in_dim = layers[0].weight.shape[1]
+    if h.shape[1] != in_dim:
+        raise ValueError(f"input width {h.shape[1]} does not match network in_dim {in_dim}")
+    cache = ForwardCache(single)
+    inputs, pre_acts, cdfs = cache.inputs, cache.pre_acts, cache.cdfs
+    for layer in layers:
+        inputs.append(h)
+        z = h @ layer.weight.T
+        z += layer.bias
+        pre_acts.append(z)
         if layer.activation == "gelu":
             cdf = _gelu_cdf(z)
-            cache.cdfs.append(cdf)
+            cdfs.append(cdf)
             h = z * cdf
         else:
-            cache.cdfs.append(None)
+            cdfs.append(None)
             h = z
     out = h[0] if single else h
     return out, cache

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dsact.actor import (
     ALPHA_MIN,
@@ -11,7 +12,7 @@ from dsact.actor import (
     temperature_update,
 )
 from dsact.critic import critic_forward, init_critic_pair
-from dsact.distributions import LOG_STD_MAX, LOG_STD_MIN, PolicyDistParams, policy_logprob
+from dsact.distributions import EPS_TANH, LOG_STD_MAX, LOG_STD_MIN, PolicyDistParams, policy_logprob
 from dsact.numerics import init_mlp, mlp_forward
 from dsact.oracles import finite_diff_grad
 
@@ -108,6 +109,50 @@ def test_act_stochastic_reproducible():
     a1, lp1 = act_stochastic(phi, states[0], np.random.default_rng(3))
     a2, lp2 = act_stochastic(phi, states[0], np.random.default_rng(3))
     assert np.array_equal(a1, a2) and lp1 == lp2
+
+
+def reference_act_stochastic(phi, obs, rng):
+    """act_stochastic as separate numpy-function steps: the forward with
+    an out-of-place bias add and GELU CDF, np.clip for the log_std clamp
+    and the action box, and a log density that recomputes exp(log_std)
+    and tanh(u)."""
+    x = np.asarray(obs, dtype=np.float64)
+    h = x[None, :] if x.ndim == 1 else x
+    for layer in phi.layers:
+        z = h @ layer.weight.T + layer.bias
+        h = z * (0.5 * (1.0 + erf(z * (1.0 / np.sqrt(2.0))))) if layer.activation == "gelu" else z
+    raw = h[0] if x.ndim == 1 else h
+    d = raw.shape[-1] // 2
+    mu, log_std = raw[..., :d], np.clip(raw[..., d:], LOG_STD_MIN, LOG_STD_MAX)
+    u = mu + np.exp(log_std) * rng.standard_normal(mu.shape)
+    a_max = np.nextafter(1.0, 0.0)
+    a = np.clip(np.tanh(u), -a_max, a_max)
+    std = np.exp(log_std)
+    zs = (u - mu) / std
+    base = -0.5 * zs * zs - np.log(std) - 0.5 * np.log(2.0 * np.pi)
+    t = np.tanh(u)
+    logp = np.sum(base - np.log(1.0 - t * t + EPS_TANH), axis=-1)
+    return a, float(logp) if np.ndim(logp) == 0 else logp
+
+
+@pytest.mark.parametrize(
+    "hidden, act_dim, n",
+    [((256, 256, 256), 1, None), ((256, 256, 256), 1, 128), ((8, 8), 2, None), ((8, 8), 2, 1)],
+)
+@pytest.mark.parametrize("out_scale", [1.0, 60.0, 1000.0])
+def test_act_stochastic_matches_reference_bit_for_bit(hidden, act_dim, n, out_scale):
+    """n=None steps one observation vector at a time, as a rollout does.
+    Scaled output layers drive log_std onto both clamps and |u| past 19."""
+    phi, _, _ = make_setup(seed=4, obs_dim=3, act_dim=act_dim, hidden=hidden)
+    phi.layers[-1].weight[:] *= out_scale
+    phi.layers[-1].bias[:] *= out_scale
+    states = np.random.default_rng(11).standard_normal((n or 16, 3)) * 3.0
+    batches = [states] if n else list(states)
+    for obs in batches:
+        a, logp = act_stochastic(phi, obs, np.random.default_rng(5))
+        a_ref, logp_ref = reference_act_stochastic(phi, obs, np.random.default_rng(5))
+        assert np.array_equal(a, a_ref)
+        assert type(logp) is type(logp_ref) and np.array_equal(logp, logp_ref)
 
 
 def test_temperature_fixed_point():

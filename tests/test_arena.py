@@ -166,7 +166,8 @@ def test_views_alias_the_buffer_and_updates_reach_the_outputs(how, tmp_path):
     rng = np.random.default_rng(11)
     for net, state in nets_and_states(how, tmp_path):
         assert_aliased(net)
-        x = rng.standard_normal((4, net.in_dim))
+        in_dim = net.layers[0].weight.shape[1]
+        x = rng.standard_normal((4, in_dim))
         out0, cache = mlp_forward(net, x)
         grads, _ = mlp_backward(net, cache, rng.standard_normal(out0.shape))
         if state is not None:
@@ -174,7 +175,7 @@ def test_views_alias_the_buffer_and_updates_reach_the_outputs(how, tmp_path):
             out1 = mlp_forward(net, x)[0]
             assert not np.array_equal(out0, out1)
             out0 = out1
-        source = init_mlp(rng, [net.in_dim, *(l.weight.shape[0] for l in net.layers)])
+        source = init_mlp(rng, [in_dim, *(l.weight.shape[0] for l in net.layers)])
         soft_update(source, net, 0.5)
         assert not np.array_equal(out0, mlp_forward(net, x)[0])
 

@@ -5,6 +5,8 @@ from scipy.integrate import simpson
 
 from dsact.distributions import (
     EPS_TANH,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     SIGMA_MIN,
     PolicyDistParams,
     gaussian_logpdf,
@@ -73,15 +75,15 @@ def test_value_head_batch_matches_scalar(rng):
 
 def test_policy_sample_zero_noise_is_mode():
     dist = PolicyDistParams(np.array([0.3, -1.0]), np.array([0.0, 0.5]))
-    u, a = policy_sample(dist, np.zeros(2))
+    a, logp = policy_sample(dist, np.zeros(2))
     assert np.allclose(a, np.tanh(dist.mu))
-    assert np.allclose(u, dist.mu)
+    assert logp == policy_logprob(dist, dist.mu)
 
 
 def test_policy_sample_unit_noise():
     dist = PolicyDistParams(np.array([0.0]), np.array([0.0]))
-    u, a = policy_sample(dist, np.array([1.0]))
-    assert u[0] == 1.0
+    a, logp = policy_sample(dist, np.array([1.0]))
+    assert logp == policy_logprob(dist, np.array([1.0]))
     assert a[0] == pytest.approx(np.tanh(1.0), abs=1e-12)
     assert a[0] == pytest.approx(0.76159, abs=1e-5)
 
@@ -89,7 +91,7 @@ def test_policy_sample_unit_noise():
 def test_policy_sample_stays_inside_box(rng):
     dist = PolicyDistParams(rng.uniform(-50, 50, 4), np.full(4, 2.0))
     for _ in range(100):
-        _, a = policy_sample(dist, rng.standard_normal(4))
+        a, _ = policy_sample(dist, rng.standard_normal(4))
         assert np.all(np.abs(a) < 1.0)
 
 
@@ -133,7 +135,7 @@ def test_reparameterization_matches_density_ks(rng):
     dist = PolicyDistParams(np.array([mu]), np.array([ls]))
     n = 100_000
     noise = rng.standard_normal((n, 1))
-    _, actions = policy_sample(dist, noise)
+    actions, _ = policy_sample(dist, noise)
     std = np.exp(ls)
 
     def cdf(x):
@@ -157,3 +159,20 @@ def test_sample_value_clt_bounds(rng):
     draws = dist.q + dist.sigma * rng.standard_normal(n)
     assert abs(np.mean(draws) - dist.q) < 3 * dist.sigma / 1000
     assert abs(np.std(draws) - dist.sigma) / dist.sigma < 0.01
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (1, 3), (128, 1), (128, 3)])
+def test_fused_sample_logp_is_policy_logprob_bit_for_bit(rng, shape):
+    # log_std at both clamps and in between; |u| past 19 saturates tanh to 1.0
+    mu = rng.choice([-40.0, -19.5, -1.0, 0.0, 0.3, 19.5, 40.0], size=shape)
+    log_std = rng.choice([LOG_STD_MIN, -3.0, 0.0, LOG_STD_MAX], size=shape)
+    mu.flat[0], log_std.flat[0], log_std.flat[-1] = 40.0, LOG_STD_MIN, LOG_STD_MAX
+    noise = rng.standard_normal(shape)
+    dist = PolicyDistParams(mu, log_std)
+    a, logp = policy_sample(dist, noise)
+    u = mu + np.exp(log_std) * noise
+    assert np.abs(u.flat[0]) > 19
+    want = policy_logprob(dist, u)
+    assert type(logp) is type(want)
+    assert np.array_equal(logp, want)
+    assert np.array_equal(a, np.tanh(u).clip(-np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)))

@@ -206,6 +206,73 @@ class TestBanditChain:
             assert np.array_equal(a, b)
 
 
+def reference_pendulum_step(env, action):
+    """PendulumEnv.step's state update and reward, with np.clip for both
+    clamps; returns (th, thdot, reward)."""
+    u = float(np.clip(action, -1.0, 1.0)[0]) * env.MAX_TORQUE
+    th_norm = wrap_angle(env.th)
+    cost = th_norm**2 + 0.1 * env.thdot**2 + 0.001 * u**2
+    g, m, l, dt = env.GRAVITY, env.MASS, env.LENGTH, env.DT
+    thdot = env.thdot + (3.0 * g / (2.0 * l) * np.sin(env.th) + 3.0 / (m * l**2) * u) * dt
+    thdot = float(np.clip(thdot, -env.MAX_SPEED, env.MAX_SPEED))
+    return float(env.th + thdot * dt), thdot, -float(cost)
+
+
+def reference_chain_reward(env, action):
+    """BanditChainEnv.step's reward with np.clip for the action box."""
+    r = env.chain.mean_reward(env.state, float(np.clip(action, -1.0, 1.0)[0]))
+    if env.chain.noise_std > 0:
+        r += env.chain.noise_std * env._rng.standard_normal()
+    return float(r)
+
+
+def bits(*xs):
+    return [np.float64(x).tobytes() for x in xs]
+
+
+# out of the box on both sides, on its edges, inside it, NaN, and lists
+# of floats or ints as well as arrays
+CLAMP_ACTIONS = [
+    np.array([-3.0]),
+    np.array([-1.0]),
+    np.array([0.4]),
+    np.array([1.0]),
+    np.array([7.5]),
+    np.array([np.nan]),
+    [2.5],
+    [-2],
+    [0],
+]
+
+
+@pytest.mark.parametrize("action", CLAMP_ACTIONS)
+@pytest.mark.parametrize(
+    "th, thdot",
+    # 7.99 at th = pi/2 under full torque overshoots +MAX_SPEED, and its
+    # mirror undershoots -MAX_SPEED
+    [(0.3, 0.0), (np.pi / 2, 7.99), (-np.pi / 2, -7.99), (1.0, 8.0), (-1.0, -8.0), (0.5, np.nan)],
+)
+def test_pendulum_step_clamps_match_np_clip_bit_for_bit(action, th, thdot):
+    env = PendulumEnv()
+    env.force_state(th, thdot)
+    want = reference_pendulum_step(env, action)
+    _, r, _, _ = env.step(action)
+    assert bits(env.th, env.thdot, r) == bits(*want)
+
+
+@pytest.mark.parametrize("action", CLAMP_ACTIONS)
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+def test_chain_step_clamp_matches_np_clip_bit_for_bit(action, noise_std):
+    for state in range(3):
+        env, ref = BanditChainEnv(noise_std=noise_std), BanditChainEnv(noise_std=noise_std)
+        env.reset(4)
+        ref.reset(4)
+        env.force_state(state)
+        ref.force_state(state)
+        _, r, _, _ = env.step(action)
+        assert bits(r) == bits(reference_chain_reward(ref, action))
+
+
 def test_make_env_registry():
     assert make_env("pendulum").spec.name == "pendulum"
     assert make_env("point-robot").spec.obs_dim == 8

@@ -83,6 +83,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"algorithm": "dsacv1", "twin_distributions": True})
 
+    def test_hidden_sizes_and_checkpoint_interval_accepted(self):
+        cfg = config_from_dict({"hidden_actor": [8, 8], "hidden_critic": [4], "checkpoint_interval": 1})
+        assert cfg.hidden_actor == (8, 8) and cfg.hidden_critic == (4,)
+        assert cfg.checkpoint_interval == 1
+        assert config_from_dict({"checkpoint_interval": None}).checkpoint_interval is None
+
     def test_load_config_roundtrip(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"env": "pendulum", "batch_size": 32}))
@@ -568,6 +574,15 @@ class TestCli:
             ({"eval_interval": "3"}, "eval_interval must be an integer"),
             ({"gamma": "0.9"}, "gamma must be a number"),
             ({"tau": False}, "tau must be a number"),
+            # hidden sizes are lists of integers, never truncated or coerced
+            ({"hidden_actor": [8.7, True]}, "hidden_actor must be a list of integers, got [8.7, True]"),
+            ({"hidden_actor": ["8"]}, "hidden_actor must be a list of integers, got ['8']"),
+            ({"hidden_actor": 8}, "hidden_actor must be a list of integers, got 8"),
+            ({"hidden_critic": [4, False]}, "hidden_critic must be a list of integers"),
+            ({"hidden_critic": [4.0]}, "hidden_critic must be a list of integers"),
+            # train checkpoints when iteration % interval == 0
+            ({"checkpoint_interval": -2}, "checkpoint_interval must be null or >= 1, got -2"),
+            ({"checkpoint_interval": 0}, "checkpoint_interval must be null or >= 1, got 0"),
         ],
     )
     def test_config_error_names_the_key_exit_code(self, tmp_path, capsys, overrides, named):
