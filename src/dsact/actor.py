@@ -34,6 +34,12 @@ class Temperature:
     lr_alpha: float
 
 
+def actor_sizes(obs_dim: int, act_dim: int, hidden) -> list[int]:
+    """The policy network's layer sizes: observation in, mean and
+    log-std per action dimension out."""
+    return [obs_dim, *hidden, 2 * act_dim]
+
+
 def policy_forward(phi: ParamSet, states: np.ndarray) -> PolicyDistParams:
     raw, _ = mlp_forward(phi, states)
     return policy_head(raw)

@@ -1,16 +1,25 @@
 """Agent assembly and checkpoint serialization.
 
 A checkpoint (format 2) is one uncompressed zip in ``.npz`` form. Its
-first member, ``header.json``, is UTF-8 JSON: the config echo, the env
-block, the counters, the temperature, each critic's b / omega / stats
-flag, the Adam step counts, and each network's layer shapes and
-activations. Every other member is one float64 ``.npy`` vector: a
+first member, ``header.json``, is UTF-8 JSON holding state only: the
+config echo, the env block (name, obs_dim, act_dim), the counters, the
+temperature alpha, each critic's b / omega / stats flag and the Adam
+step counts. Every other member is one float64 ``.npy`` vector: a
 network's flat parameter buffer (``actor``, ``actor_target``,
 ``critic1``, ``critic2``, ``critic1_target``, ``critic2_target``) or an
 Adam moment buffer (``adam.<network>.m`` / ``.v`` for ``actor``,
 ``critic1`` and ``critic2``). Raw float64 keeps round trips bit-exact,
 and the fixed member order and zip timestamps make a re-save of a
-loaded agent byte-identical. JSON (format 1) checkpoints are refused.
+loaded agent byte-identical.
+
+Nothing else is stored because the loader derives it as `build_agent`
+does: each network's layout from the config echo's hidden sizes and the
+env block's dims (`actor_sizes`, `critic_sizes`; GELU on every layer but
+the last), and the target entropy from the config echo and act_dim. An
+echo that contradicts the buffers fails the buffer length check. Keys a
+header does not need, such as the ``networks`` and ``target_entropy``
+blocks earlier writers stored, are ignored. JSON (format 1) checkpoints
+are refused.
 """
 
 from __future__ import annotations
@@ -22,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .actor import Temperature
+from .actor import Temperature, actor_sizes
 from .config import ConfigError, RunConfig, config_from_dict
-from .critic import CriticPairState, init_critic_pair
+from .critic import CriticPairState, critic_sizes, init_critic_pair
 from .environments import EnvSpec
 from .harness_util import write_atomic
 from .numerics import AdamState, Layout, ParamSet, init_adam, init_mlp
@@ -49,25 +58,25 @@ class AgentState:
     env_steps: int = 0
 
 
+def _target_entropy(cfg: RunConfig, act_dim: int) -> float:
+    return -float(act_dim) if cfg.target_entropy is None else cfg.target_entropy
+
+
 def build_agent(cfg: RunConfig, env_spec: EnvSpec, rngs: dict) -> AgentState:
     """Fresh networks; rngs carries the named init streams."""
-    actor_sizes = [env_spec.obs_dim, *cfg.hidden_actor, 2 * env_spec.act_dim]
-    phi = init_mlp(rngs["actor_init"], actor_sizes)
+    phi = init_mlp(rngs["actor_init"], actor_sizes(env_spec.obs_dim, env_spec.act_dim, cfg.hidden_actor))
     critics = init_critic_pair(
         (rngs["critic1_init"], rngs["critic2_init"]),
         env_spec.obs_dim,
         env_spec.act_dim,
         list(cfg.hidden_critic),
     )
-    target_entropy = (
-        -float(env_spec.act_dim) if cfg.target_entropy is None else cfg.target_entropy
-    )
     return AgentState(
         phi=phi,
         phi_bar=phi.copy(),
         adam_actor=init_adam(phi),
         critics=critics,
-        temperature=Temperature(cfg.alpha_init, target_entropy, cfg.lr_alpha),
+        temperature=Temperature(cfg.alpha_init, _target_entropy(cfg, env_spec.act_dim), cfg.lr_alpha),
     )
 
 
@@ -78,7 +87,7 @@ def _zip_member(name: str) -> zipfile.ZipInfo:
 def save_checkpoint(path: str | Path, agent: AgentState, cfg: RunConfig, env_spec: EnvSpec) -> None:
     """Write the agent to exactly ``path``, atomically."""
     critics = agent.critics
-    nets = dict(zip(NETWORKS, (agent.phi, agent.phi_bar, *critics.theta, *critics.theta_bar), strict=True))
+    nets = (agent.phi, agent.phi_bar, *critics.theta, *critics.theta_bar)
     adams = dict(zip(ADAM_NETWORKS, (agent.adam_actor, *critics.adam), strict=True))
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -91,20 +100,12 @@ def save_checkpoint(path: str | Path, agent: AgentState, cfg: RunConfig, env_spe
         "iteration": agent.iteration,
         "env_steps": agent.env_steps,
         "alpha": agent.temperature.alpha,
-        "target_entropy": agent.temperature.target_entropy,
         "b": list(critics.b),
         "omega": list(critics.omega),
         "stats_initialized": list(critics.stats_initialized),
         "adam_steps": {name: state.step for name, state in adams.items()},
-        "networks": {
-            name: {
-                "shapes": [list(w_shape) for w_shape, _ in net.layout.shapes],
-                "activations": list(net.activations),
-            }
-            for name, net in nets.items()
-        },
     }
-    buffers = {name: net.flat for name, net in nets.items()}
+    buffers = {name: net.flat for name, net in zip(NETWORKS, nets, strict=True)}
     for name, state in adams.items():
         buffers[f"adam.{name}.m"], buffers[f"adam.{name}.v"] = state.m, state.v
 
@@ -139,35 +140,20 @@ def _number(doc: dict, *path: str, kind=float):
     return kind(value)
 
 
+def _dim(header: dict, key: str) -> int:
+    """A positive integer from the env block."""
+    value = _field(header, "env", key)
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"checkpoint {_where(['env', key])} must be a positive integer, got {value!r}")
+    return value
+
+
 def _pair(doc: dict, key: str, kind) -> list:
     """One value per critic."""
     values = _field(doc, key)
     if not isinstance(values, list) or len(values) != 2 or not all(isinstance(v, (int, float)) for v in values):
         raise ConfigError(f"checkpoint {_where([key])} must be 2 numbers, got {values!r}")
     return [kind(v) for v in values]
-
-
-def _layout(header: dict, name: str, n_in: int, n_out: int) -> tuple[Layout, tuple[str, ...]]:
-    """The layout and activations of a network whose layers chain from
-    n_in inputs to n_out outputs."""
-    shapes = _field(header, "networks", name, "shapes")
-    acts = _field(header, "networks", name, "activations")
-    if not isinstance(acts, list) or not acts or not all(a in ("gelu", "identity") for a in acts):
-        raise ConfigError(f"checkpoint activations for {name!r} must be a non-empty list of gelu/identity")
-    if not (
-        isinstance(shapes, list)
-        and len(shapes) == len(acts)
-        and all(isinstance(s, list) and len(s) == 2 and all(type(d) is int and d > 0 for d in s) for s in shapes)
-    ):
-        raise ConfigError(f"checkpoint shapes for {name!r} must be one [out, in] pair of positive ints per layer")
-    width = n_in
-    for i, (n_out_i, n_in_i) in enumerate(shapes):
-        if n_in_i != width:
-            raise ConfigError(f"checkpoint layer {name}.l{i} takes {n_in_i} inputs, not {width}")
-        width = n_out_i
-    if width != n_out:
-        raise ConfigError(f"checkpoint network {name!r} has {width} outputs, expected {n_out}")
-    return Layout(((o, i), (o,)) for o, i in shapes), tuple(acts)
 
 
 def _buffer(npz, path: Path, name: str, layout: Layout) -> np.ndarray:
@@ -223,26 +209,21 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
             cfg_echo = _field(header, "config")
             if not isinstance(cfg_echo, dict):
                 raise ConfigError("checkpoint 'config' must be an object")
-            lr_alpha = config_from_dict(cfg_echo).lr_alpha
-            obs_dim = _number(header, "env", "obs_dim", kind=int)
-            act_dim = _number(header, "env", "act_dim", kind=int)
-            layouts = {
-                name: _layout(header, name, obs_dim, 2 * act_dim)
-                if name.startswith("actor")
-                else _layout(header, name, obs_dim + act_dim, 2)
-                for name in NETWORKS
-            }
+            cfg = config_from_dict(cfg_echo)
+            obs_dim, act_dim = (_dim(header, key) for key in ("obs_dim", "act_dim"))
+            actor = Layout.chain(actor_sizes(obs_dim, act_dim, cfg.hidden_actor))
+            critic = Layout.chain(critic_sizes(obs_dim, act_dim, cfg.hidden_critic))
             adam_steps = {name: _number(header, "adam_steps", name, kind=int) for name in ADAM_NETWORKS}
             b, omega = _pair(header, "b", float), _pair(header, "omega", float)
             stats_initialized = _pair(header, "stats_initialized", bool)
-            temperature = Temperature(_number(header, "alpha"), _number(header, "target_entropy"), lr_alpha)
+            temperature = Temperature(_number(header, "alpha"), _target_entropy(cfg, act_dim), cfg.lr_alpha)
             counters = {key: _number(header, key, kind=int) for key in ("iteration", "env_steps")}
         except ConfigError as exc:
             raise ConfigError(f"{exc} ({path}, member {HEADER!r})") from exc
 
         nets = {
-            name: ParamSet.from_flat(_buffer(npz, path, name, layout), layout, acts)
-            for name, (layout, acts) in layouts.items()
+            name: ParamSet.from_flat(_buffer(npz, path, name, layout), layout)
+            for name, layout in zip(NETWORKS, (actor, actor, critic, critic, critic, critic), strict=True)
         }
         adams = {}
         for name in ADAM_NETWORKS:

@@ -67,14 +67,19 @@ class KernelSpec:
         return (0, 1) if self.twin_distributions else (0,)
 
 
+def critic_sizes(obs_dim: int, act_dim: int, hidden) -> list[int]:
+    """A critic's layer sizes: state and action in, the return
+    distribution's mean and raw (pre-softplus) sigma out."""
+    return [obs_dim + act_dim, *hidden, 2]
+
+
 def init_critic_pair(
     rngs: tuple[np.random.Generator, np.random.Generator],
     obs_dim: int,
     act_dim: int,
     hidden: list[int],
 ) -> CriticPairState:
-    sizes = [obs_dim + act_dim, *hidden, 2]
-    nets = tuple(init_mlp(r, sizes) for r in rngs)
+    nets = tuple(init_mlp(r, critic_sizes(obs_dim, act_dim, hidden)) for r in rngs)
     return CriticPairState(
         theta=nets,
         theta_bar=tuple(n.copy() for n in nets),

@@ -32,9 +32,10 @@ from .numerics import NumericalError, adam_step, params_all_finite
 from .oracles import BiasReport, mc_true_q, truth_horizon
 from .replay import ReplayBuffer, Transition
 
-METRICS_HEADER = (
-    "iteration,env_steps,avg_return,q_mean,sigma_mean,alpha,"
-    "b1,b2,omega1,omega2,entropy_estimate,bias_estimate"
+# metrics.csv's header; each eval writes one row of values in this order
+METRICS_COLUMNS = (
+    "iteration", "env_steps", "avg_return", "q_mean", "sigma_mean", "alpha",
+    "b1", "b2", "omega1", "omega2", "entropy_estimate", "bias_estimate",
 )
 
 _STREAMS = (
@@ -68,10 +69,12 @@ def build_id() -> str:
     return digest.hexdigest()[:12]
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+def _cell(column: str, x) -> str:
+    """A metrics.csv cell: the two counts as integers, blank for None,
+    else repr(float(x))."""
+    if column in ("iteration", "env_steps"):
+        return str(x)
+    return "" if x is None else repr(float(x))
 
 
 def rollout_return(phi, env, seed: int, policy_rng: np.random.Generator | None = None) -> float:
@@ -117,19 +120,28 @@ def _check_counts(seed: int, **counts: int) -> None:
             raise ConfigError(f"{name} must be >= 1, got {n}")
 
 
+def _load_with_env(checkpoint: str | Path, env):
+    """(agent, config echo, env) for a stored agent. The env is built from
+    the config echo when none is given; a given env whose dims differ from
+    the checkpoint's is a ConfigError naming both."""
+    agent, header = load_checkpoint(checkpoint)
+    cfg = config_from_dict(header["config"])
+    if env is None:
+        env = make_env(cfg.env, cfg.env_overrides)
+    stored = (header["env"]["obs_dim"], header["env"]["act_dim"])
+    if (env.spec.obs_dim, env.spec.act_dim) != stored:
+        raise ConfigError(
+            f"env {env.spec.name!r} dims (obs_dim, act_dim) = ({env.spec.obs_dim}, {env.spec.act_dim}) "
+            f"do not match checkpoint {checkpoint} ({stored[0]}, {stored[1]})"
+        )
+    return agent, cfg, env
+
+
 def evaluate(checkpoint: str | Path, env=None, episodes: int = 10, deterministic: bool = True, seed: int = 0):
     """Evaluate a stored policy; builds the env from the checkpoint's
     config echo when none is given."""
     _check_counts(seed, episodes=episodes)
-    agent, doc = load_checkpoint(checkpoint)
-    cfg = config_from_dict(doc["config"])
-    if env is None:
-        env = make_env(cfg.env, cfg.env_overrides)
-    if env.spec.obs_dim != doc["env"]["obs_dim"] or env.spec.act_dim != doc["env"]["act_dim"]:
-        raise ConfigError(
-            f"env dims ({env.spec.obs_dim}, {env.spec.act_dim}) do not match "
-            f"checkpoint ({doc['env']['obs_dim']}, {doc['env']['act_dim']})"
-        )
+    agent, _, env = _load_with_env(checkpoint, env)
     return evaluate_policy(
         agent.phi, env, episodes, deterministic, seed_parts=(seed, _EVAL_TAG)
     )
@@ -187,7 +199,7 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
     buffer = ReplayBuffer(cfg.buffer_capacity)
 
     save_checkpoint(out / "checkpoint_0.npz", agent, cfg, env.spec)
-    rows: list[dict] = []
+    curve: list[tuple[int, float]] = []  # (env_steps, avg_return) per eval
     metrics_path = out / "metrics.csv"
     critic_updates = 0
     actor_updates = 0
@@ -195,15 +207,13 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
     eval_index = 0
 
     with metrics_path.open("w") as metrics_file:
-        metrics_file.write(METRICS_HEADER + "\n")
+        metrics_file.write(",".join(METRICS_COLUMNS) + "\n")
         obs = env.reset(int(streams["env"].integers(0, 2**63)))
         for iteration in range(1, cfg.total_iterations + 1):
             for _ in range(cfg.samples_per_iteration):
                 a, _ = act_stochastic(agent.phi, obs, streams["policy"])
                 obs2, r, done, truncated = env.step(a)
-                buffer.push(
-                    Transition(obs, a, r * cfg.reward_scale, obs2, done, truncated)
-                )
+                buffer.push(Transition(obs, a, r * cfg.reward_scale, obs2, done))
                 agent.env_steps += 1
                 if done or truncated:
                     obs = env.reset(int(streams["env"].integers(0, 2**63)))
@@ -263,41 +273,13 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                 q_mean, sigma_mean, entropy = _probe_metrics(
                     agent, buffer, cfg, active, eval_index
                 )
-                row = {
-                    "iteration": iteration,
-                    "env_steps": agent.env_steps,
-                    "avg_return": avg_return,
-                    "q_mean": q_mean,
-                    "sigma_mean": sigma_mean,
-                    "alpha": agent.temperature.alpha,
-                    "b1": agent.critics.b[0],
-                    "b2": agent.critics.b[1],
-                    "omega1": agent.critics.omega[0],
-                    "omega2": agent.critics.omega[1],
-                    "entropy_estimate": entropy,
-                    "bias_estimate": None,
-                }
-                rows.append(row)
-                metrics_file.write(
-                    f"{row['iteration']},{row['env_steps']},"
-                    + ",".join(
-                        _fmt(row[k])
-                        for k in (
-                            "avg_return",
-                            "q_mean",
-                            "sigma_mean",
-                            "alpha",
-                            "b1",
-                            "b2",
-                            "omega1",
-                            "omega2",
-                            "entropy_estimate",
-                            "bias_estimate",
-                        )
-                    )
-                    + "\n"
+                row = (
+                    iteration, agent.env_steps, avg_return, q_mean, sigma_mean, agent.temperature.alpha,
+                    *agent.critics.b, *agent.critics.omega, entropy, None,  # no bias_estimate yet
                 )
+                metrics_file.write(",".join(_cell(c, x) for c, x in zip(METRICS_COLUMNS, row, strict=True)) + "\n")
                 metrics_file.flush()
+                curve.append((agent.env_steps, avg_return))
                 if cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0:
                     save_checkpoint(out / f"checkpoint_{iteration}.npz", agent, cfg, env.spec)
                 if cfg.stop_return is not None and avg_return >= cfg.stop_return:
@@ -306,10 +288,10 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
 
     checkpoint = f"checkpoint_{agent.iteration}.npz"
     save_checkpoint(out / checkpoint, agent, cfg, env.spec)
-    if rows:
-        series = {"avg_return": ([r["env_steps"] for r in rows], [r["avg_return"] for r in rows])}
+    if curve:
+        steps, returns = zip(*curve)
         write_line_chart(
-            out / "curves.svg", series, f"{cfg.algorithm} on {cfg.env}", "env steps", "return"
+            out / "curves.svg", {"avg_return": (steps, returns)}, f"{cfg.algorithm} on {cfg.env}", "env steps", "return"
         )
     summary = {
         "config": cfg.to_jsonable(),
@@ -319,7 +301,7 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
         "env_steps": agent.env_steps,
         "critic_updates": critic_updates,
         "actor_updates": actor_updates,
-        "final_return": rows[-1]["avg_return"] if rows else None,
+        "final_return": curve[-1][1] if curve else None,
         "final_alpha": agent.temperature.alpha,
         "stopped_early": stopped_early,
         "runtime_s": time.perf_counter() - started,
@@ -361,10 +343,7 @@ def measure_bias(
     stored stochastic policy with entropy bonuses after the first step.
     """
     _check_counts(seed, n_samples=n_samples, n_rollouts=n_rollouts)
-    agent, doc = load_checkpoint(checkpoint)
-    cfg = config_from_dict(doc["config"])
-    if env is None:
-        env = make_env(cfg.env, cfg.env_overrides)
+    agent, cfg, env = _load_with_env(checkpoint, env)
     active = cfg.kernel().active_critics
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _BIAS_TAG, seed]))
     pairs = collect_on_policy_pairs(env.clone(), agent.phi, n_samples, rng)

@@ -1,9 +1,10 @@
 """Minimal dense network with hand-written backprop and Adam.
 
 Everything runs in float64 numpy. A network is a list of affine layers
-with GELU on the hidden layers and an identity output layer; forward
-keeps the activation trace so backward can produce exact reverse-mode
-derivatives without an autodiff framework.
+with GELU on every layer but the last and an identity last layer, so its
+layer sizes alone define it; forward keeps the activation trace so
+backward can produce exact reverse-mode derivatives without an autodiff
+framework.
 
 Each network's parameters live in one flat buffer (its arena), and
 every layer's weight and bias is a view into it. Gradients and Adam
@@ -78,7 +79,6 @@ def gelu_grad(x):
 class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-    activation: str  # "gelu" or "identity"
 
 
 class Layout:
@@ -104,6 +104,11 @@ class Layout:
             start = b_end
         self.spans = tuple(spans)
         self.size = start
+
+    @classmethod
+    def chain(cls, sizes) -> "Layout":
+        """The layout of a network with layer sizes [in, hidden..., out]."""
+        return cls(((n_out, n_in), (n_out,)) for n_in, n_out in zip(sizes, sizes[1:]))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Layout) and self.shapes == other.shapes)
@@ -138,26 +143,25 @@ class ParamSet:
         biases = [np.asarray(l.bias, dtype=np.float64) for l in layers]
         self.layout = Layout((w.shape, b.shape) for w, b in zip(weights, biases, strict=True))
         self.flat = self.layout.pack(weights, biases)
-        self.activations = tuple(l.activation for l in layers)
 
     @classmethod
-    def from_flat(cls, flat: np.ndarray, layout: Layout, activations) -> "ParamSet":
+    def from_flat(cls, flat: np.ndarray, layout: Layout) -> "ParamSet":
         """A network over ``flat`` itself (no copy)."""
         net = cls.__new__(cls)
-        net.flat, net.layout, net.activations = flat, layout, tuple(activations)
+        net.flat, net.layout = flat, layout
         return net
 
     @cached_property
     def layers(self) -> list[Layer]:
         weights, biases = self.layout.weight_views(self.flat), self.layout.bias_views(self.flat)
-        return [Layer(w, b, a) for w, b, a in zip(weights, biases, self.activations)]
+        return [Layer(w, b) for w, b in zip(weights, biases)]
 
     def __getstate__(self):
         # a pickled or deep-copied network cuts its own views from its own buffer
         return {k: v for k, v in self.__dict__.items() if k != "layers"}
 
     def copy(self) -> "ParamSet":
-        return ParamSet.from_flat(self.flat.copy(), self.layout, self.activations)
+        return ParamSet.from_flat(self.flat.copy(), self.layout)
 
 
 class GradSet:
@@ -192,35 +196,33 @@ def init_adam(params: ParamSet) -> AdamState:
 
 
 def init_mlp(rng: np.random.Generator, sizes: list[int]) -> ParamSet:
-    """Uniform +-sqrt(1/fan_in) init; GELU hidden layers, identity output.
+    """Uniform +-sqrt(1/fan_in) init, drawn layer by layer, weight then bias.
 
     ``sizes`` is [in, hidden..., out]; must have at least one affine layer.
     """
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    layers = []
-    n = len(sizes) - 1
-    for i in range(n):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        bound = np.sqrt(1.0 / fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        b = rng.uniform(-bound, bound, size=(fan_out,))
-        act = "identity" if i == n - 1 else "gelu"
-        layers.append(Layer(w, b, act))
-    return ParamSet(layers)
+    layout = Layout.chain(sizes)
+    flat = np.empty(layout.size)
+    for w, b in zip(layout.weight_views(flat), layout.bias_views(flat)):
+        bound = np.sqrt(1.0 / w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return ParamSet.from_flat(flat, layout)
 
 
 class ForwardCache:
-    """Activation trace: per-layer inputs, pre-activations, and the
-    normal CDF values reused by the GELU derivative (None on identity
-    layers); ``single`` marks a one-vector forward."""
+    """Activation trace: per-layer inputs and pre-activations, and the
+    normal CDF values the GELU derivative reuses (one per GELU layer,
+    that is, every layer but the last); ``single`` marks a one-vector
+    forward."""
 
     __slots__ = ("inputs", "pre_acts", "cdfs", "single")
 
     def __init__(self, single: bool = False):
         self.inputs: list[np.ndarray] = []
         self.pre_acts: list[np.ndarray] = []
-        self.cdfs: list[np.ndarray | None] = []
+        self.cdfs: list[np.ndarray] = []
         self.single = single
 
 
@@ -235,18 +237,16 @@ def mlp_forward(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, ForwardCac
         raise ValueError(f"input width {h.shape[1]} does not match network in_dim {in_dim}")
     cache = ForwardCache(single)
     inputs, pre_acts, cdfs = cache.inputs, cache.pre_acts, cache.cdfs
-    for layer in layers:
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
         inputs.append(h)
-        z = h @ layer.weight.T
-        z += layer.bias
-        pre_acts.append(z)
-        if layer.activation == "gelu":
-            cdf = _gelu_cdf(z)
+        h = h @ layer.weight.T
+        h += layer.bias
+        pre_acts.append(h)
+        if i < last:
+            cdf = _gelu_cdf(h)
             cdfs.append(cdf)
-            h = z * cdf
-        else:
-            cdfs.append(None)
-            h = z
+            h = h * cdf
     out = h[0] if single else h
     return out, cache
 
@@ -270,9 +270,10 @@ def mlp_backward(
         raise ValueError("output_grad shape does not match cached forward pass")
     layout = params.layout
     flat = np.empty(layout.size)
-    for i in range(len(params.layers) - 1, -1, -1):
+    last = len(params.layers) - 1
+    for i in range(last, -1, -1):
         layer = params.layers[i]
-        if layer.activation == "gelu":
+        if i < last:
             g = g * _gelu_slope(cache.pre_acts[i], cache.cdfs[i])
         w, _, b, _ = layout.spans[i]
         # copied in: matmul/reduce with out= views measured slower in training

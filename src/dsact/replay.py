@@ -15,28 +15,26 @@ import numpy as np
 
 @dataclass
 class Transition:
-    """One environment step; done marks true termination, truncated a
-    time-limit cut (which still bootstraps)."""
+    """One environment step; done marks true termination. A time-limit
+    cut is not stored: it still bootstraps, so it is an ordinary row."""
 
     s: np.ndarray
     a: np.ndarray
     r: float
     s_next: np.ndarray
     done: bool
-    truncated: bool = False
 
 
 @dataclass
 class Batch:
     """Transitions as row-aligned arrays: float64 s, a, r, s_next and
-    bool done, truncated."""
+    bool done."""
 
     s: np.ndarray
     a: np.ndarray
     r: np.ndarray
     s_next: np.ndarray
     done: np.ndarray
-    truncated: np.ndarray
 
     def __len__(self) -> int:
         return len(self.r)
@@ -66,7 +64,6 @@ class ReplayBuffer:
             r=np.empty(c),
             s_next=np.empty((c, *s_shape)),
             done=np.empty(c, dtype=bool),
-            truncated=np.empty(c, dtype=bool),
         )
 
     def push(self, t: Transition) -> "ReplayBuffer":
@@ -86,7 +83,6 @@ class ReplayBuffer:
         rows.r[i] = t.r
         rows.s_next[i] = t.s_next
         rows.done[i] = t.done
-        rows.truncated[i] = t.truncated
         return self
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:
@@ -98,9 +94,7 @@ class ReplayBuffer:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._count, size=n)
         rows = self._rows
-        return Batch(
-            rows.s[idx], rows.a[idx], rows.r[idx], rows.s_next[idx], rows.done[idx], rows.truncated[idx]
-        )
+        return Batch(rows.s[idx], rows.a[idx], rows.r[idx], rows.s_next[idx], rows.done[idx])
 
     def contents(self) -> Batch:
         """Views of the filled rows in slot order (not insertion order)."""
@@ -108,4 +102,4 @@ class ReplayBuffer:
             raise ValueError("the buffer is empty")
         k = self._count
         rows = self._rows
-        return Batch(rows.s[:k], rows.a[:k], rows.r[:k], rows.s_next[:k], rows.done[:k], rows.truncated[:k])
+        return Batch(rows.s[:k], rows.a[:k], rows.r[:k], rows.s_next[:k], rows.done[:k])

@@ -118,9 +118,9 @@ def reference_act_stochastic(phi, obs, rng):
     and tanh(u)."""
     x = np.asarray(obs, dtype=np.float64)
     h = x[None, :] if x.ndim == 1 else x
-    for layer in phi.layers:
+    for i, layer in enumerate(phi.layers):
         z = h @ layer.weight.T + layer.bias
-        h = z * (0.5 * (1.0 + erf(z * (1.0 / np.sqrt(2.0))))) if layer.activation == "gelu" else z
+        h = z * (0.5 * (1.0 + erf(z * (1.0 / np.sqrt(2.0))))) if i < len(phi.layers) - 1 else z
     raw = h[0] if x.ndim == 1 else h
     d = raw.shape[-1] // 2
     mu, log_std = raw[..., :d], np.clip(raw[..., d:], LOG_STD_MIN, LOG_STD_MAX)

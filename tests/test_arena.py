@@ -106,9 +106,10 @@ def ref_mlp_backward(params, cache, output_grad):
         raise ValueError("output_grad shape does not match cached forward pass")
     d_weights = [None] * len(params.layers)
     d_biases = [None] * len(params.layers)
-    for i in range(len(params.layers) - 1, -1, -1):
+    last = len(params.layers) - 1
+    for i in range(last, -1, -1):
         layer = params.layers[i]
-        if layer.activation == "gelu":
+        if i < last:  # GELU on every layer but the last
             z = cache.pre_acts[i]
             g = g * (cache.cdfs[i] + z * numerics._INV_SQRT_2PI * np.exp(-0.5 * z * z))
         d_weights[i] = g.T @ cache.inputs[i]
@@ -203,8 +204,8 @@ def test_copies_own_their_buffers(rng):
         (lambda rng: init_mlp(rng, [2, 4, 1]), lambda rng: init_mlp(rng, [2, 3, 2])),
         # equal weight shapes, bias (1,) against (1, 1)
         (
-            lambda rng: ParamSet([Layer(np.zeros((1, 2)), np.zeros(1), "identity")]),
-            lambda rng: ParamSet([Layer(np.zeros((1, 2)), np.zeros((1, 1)), "identity")]),
+            lambda rng: ParamSet([Layer(np.zeros((1, 2)), np.zeros(1))]),
+            lambda rng: ParamSet([Layer(np.zeros((1, 2)), np.zeros((1, 1)))]),
         ),
     ],
 )

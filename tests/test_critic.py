@@ -43,7 +43,6 @@ def make_batch(rng, n=6, obs_dim=3, act_dim=1) -> Batch:
         r=np.array(r),
         s_next=np.array(s2).reshape(n, obs_dim),
         done=np.zeros(n, dtype=bool),
-        truncated=np.zeros(n, dtype=bool),
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsact.agent import build_agent, load_checkpoint, save_checkpoint
+from dsact.agent import NETWORKS, build_agent, load_checkpoint, save_checkpoint
 from dsact.charts import write_line_chart
 from dsact.config import ConfigError, RunConfig, config_from_dict, load_config
 from dsact.environments import PendulumEnv, make_env
@@ -157,7 +157,7 @@ def flip_payload_byte(path, agent):
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
-        cfg = tiny_cfg(tmp_path)
+        cfg = tiny_cfg(tmp_path, target_entropy=-0.25)
         env = make_env(cfg.env, cfg.env_overrides)
         agent = build_agent(cfg, env.spec, make_streams(cfg.seed))
         agent.critics.b = [1.25, 2.5]
@@ -172,7 +172,7 @@ class TestCheckpoint:
             assert params_equal(loaded.critics.theta_bar[i], agent.critics.theta_bar[i])
         assert loaded.critics.b == agent.critics.b
         assert loaded.critics.omega == agent.critics.omega
-        assert loaded.temperature.alpha == agent.temperature.alpha
+        assert loaded.temperature == agent.temperature
         assert doc["format_version"] == 2
         # a second save of the loaded state is byte-identical
         path2 = tmp_path / "ckpt2.npz"
@@ -194,12 +194,13 @@ class TestCheckpoint:
             (lambda path, agent: rewrite_checkpoint(path, edit_buffer("actor", lambda flat: flat[:-1])), "needs float64"),
             (lambda path, agent: rewrite_checkpoint(path, edit_buffer("adam.critic1.v", lambda v: v.astype(np.int64))), "int64"),
             (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h.pop("alpha"))), "'alpha'"),
-            (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["env"].update(obs_dim=4))), "actor.l0"),
+            (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["env"].update(obs_dim=4))), "member 'actor'"),
+            (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["env"].update(act_dim=0))), "['env']['act_dim']"),
             (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h.update(b=[0.0]))), "'b'"),
             (lambda path, agent: path.write_text(json.dumps({"format_version": 1})), "JSON checkpoints are no longer read"),
             (
-                lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["networks"]["actor"]["activations"].pop())),
-                "'actor'",
+                lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["config"].update(hidden_critic=[8]))),
+                "member 'critic1'",
             ),
             (
                 lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["adam_steps"].update(critic1="7"))),
@@ -213,6 +214,50 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=re.escape(named)) as caught:
             load_checkpoint(path)
         assert str(path) in str(caught.value)
+
+    def test_header_holds_state_only(self, tmp_path):
+        path, _ = saved_checkpoint(tmp_path)
+        _, header = load_checkpoint(path)
+        assert set(header) == {
+            "format_version",
+            "config",
+            "env",
+            "iteration",
+            "env_steps",
+            "alpha",
+            "b",
+            "omega",
+            "stats_initialized",
+            "adam_steps",
+        }
+
+    def test_earlier_header_with_shapes_and_target_entropy_loads(self, tmp_path):
+        """A header that also holds the per-network shapes and activations
+        and the target entropy, as earlier format-2 writers stored them,
+        loads into the same agent, and re-saving drops the extra keys."""
+        path, agent = saved_checkpoint(tmp_path)
+        fresh = path.read_bytes()
+        nets = dict(zip(NETWORKS, (agent.phi, agent.phi_bar, *agent.critics.theta, *agent.critics.theta_bar)))
+
+        def add_earlier_keys(header):
+            header["target_entropy"] = agent.temperature.target_entropy
+            header["networks"] = {
+                name: {
+                    "shapes": [list(w_shape) for w_shape, _ in net.layout.shapes],
+                    "activations": ["gelu"] * (len(net.layers) - 1) + ["identity"],
+                }
+                for name, net in nets.items()
+            }
+
+        rewrite_checkpoint(path, edit_header(add_earlier_keys))
+        loaded, header = load_checkpoint(path)
+        assert "networks" in header and header["target_entropy"] == -1.0
+        for name, net in zip(NETWORKS, (loaded.phi, loaded.phi_bar, *loaded.critics.theta, *loaded.critics.theta_bar)):
+            assert params_equal(net, nets[name]) and net.layout == nets[name].layout
+        assert loaded.temperature == agent.temperature
+        cfg = config_from_dict(header["config"])
+        save_checkpoint(path, loaded, cfg, make_env(cfg.env, cfg.env_overrides).spec)
+        assert path.read_bytes() == fresh
 
     def test_default_width_file_is_its_raw_buffers(self, tmp_path):
         cfg = RunConfig(env="pendulum")
@@ -392,6 +437,25 @@ class TestMeasureBias:
         )
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda ckpt, env: evaluate(ckpt, env=env, episodes=1),
+        lambda ckpt, env: measure_bias(ckpt, env=env, n_samples=1, n_rollouts=1),
+    ],
+    ids=["evaluate", "measure_bias"],
+)
+def test_foreign_env_refused_naming_the_dims(tmp_path, entry):
+    """A pendulum agent (obs 3, act 1) cannot run in the point robot (obs 8, act 2)."""
+    cfg = tiny_cfg(tmp_path, env="pendulum", env_overrides={})
+    agent = build_agent(cfg, make_env("pendulum").spec, make_streams(cfg.seed))
+    ckpt = tmp_path / "pendulum.npz"
+    save_checkpoint(ckpt, agent, cfg, make_env("pendulum").spec)
+    with pytest.raises(ConfigError, match=re.escape("(obs_dim, act_dim) = (8, 2) do not match")) as caught:
+        entry(ckpt, make_env("point-robot"))
+    assert "(3, 1)" in str(caught.value)
+
+
 class TestAblation:
     def test_refinements_study_structure(self, tmp_path):
         cfg = tiny_cfg(tmp_path, total_iterations=4)
@@ -460,7 +524,6 @@ class ListReplay:
             r=np.array([t.r for t in rows]),
             s_next=np.stack([t.s_next for t in rows]),
             done=np.array([t.done for t in rows]),
-            truncated=np.array([t.truncated for t in rows]),
         )
 
 
@@ -615,6 +678,13 @@ class TestCli:
         rewrite_checkpoint(ckpt, edit_header(lambda header: header.pop("config")))
         assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
         assert "config error: checkpoint lacks ['config']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
+    def test_contradicting_config_echo_exit_code(self, tmp_path, capsys, command):
+        ckpt, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(ckpt, edit_header(lambda header: header["config"].update(hidden_critic=[8])))
+        assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
+        assert "member 'critic1'" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["train", "--config", str(tmp_path / "nope.json")]) == 2

@@ -30,8 +30,8 @@ def test_gelu_derivative_matches_central_differences():
     assert np.max(np.abs(gelu_grad(xs) - fd)) < 1e-6
 
 
-def identity_layer(n, activation="identity"):
-    return Layer(np.eye(n), np.zeros(n), activation)
+def identity_layer(n):
+    return Layer(np.eye(n), np.zeros(n))
 
 
 def test_forward_zero_weights_returns_bias(rng):
@@ -51,10 +51,11 @@ def test_forward_identity_layer():
 
 
 def test_gelu_layer_is_gelu_bit_for_bit(rng):
-    """A one-layer GELU network computes gelu and backpropagates gelu_grad
-    exactly, so the GELU tests above judge the engine's formula."""
+    """A GELU layer followed by an identity `eye` output computes gelu and
+    backpropagates gelu_grad exactly, so the GELU tests above judge the
+    engine's formula."""
     x = rng.standard_normal((64, 5)) * 3.0
-    net = ParamSet([identity_layer(5, "gelu")])
+    net = ParamSet([identity_layer(5), identity_layer(5)])
     out, cache = mlp_forward(net, x)
     assert np.array_equal(out, gelu(x))
     _, input_grad = mlp_backward(net, cache, np.ones_like(x))
@@ -98,15 +99,16 @@ def test_backward_matches_finite_differences(rng):
 
 
 def test_backward_stacked_identity_layers_outer_product():
+    """eye weights, GELU between: the output layer's weight gradient is
+    og x gelu(x), the hidden layer's is (og * gelu_grad(x)) x x."""
     net = ParamSet([identity_layer(3), identity_layer(3)])
     x = np.array([1.0, -2.0, 0.5])
     og = np.array([0.7, 0.1, -1.3])
     _, cache = mlp_forward(net, x)
     grads, _ = mlp_backward(net, cache, og)
-    outer = np.outer(og, x)
     d_weights = net.layout.weight_views(grads.flat)
-    assert np.allclose(d_weights[0], outer)
-    assert np.allclose(d_weights[1], outer)
+    assert np.allclose(d_weights[0], np.outer(og * gelu_grad(x), x))
+    assert np.allclose(d_weights[1], np.outer(og, gelu(x)))
 
 
 def test_backward_batched_equals_sum_of_singles(rng):
@@ -142,7 +144,7 @@ def test_adam_zero_gradient_fixed_point(rng):
 
 
 def test_adam_first_step_magnitude_near_lr():
-    net = ParamSet([Layer(np.array([[2.0]]), np.array([0.0]), "identity")])
+    net = ParamSet([Layer(np.array([[2.0]]), np.array([0.0]))])
     state = init_adam(net)
     g = GradSet(net.layout.pack([[[0.3]]], [[0.0]]), net.layout)
     lr = 1e-2
@@ -168,7 +170,7 @@ def test_adam_learning_rate_passthrough():
     cfg = RunConfig()
     assert cfg.lr_critic == 1e-4
     assert cfg.lr_actor == 1e-4
-    net = ParamSet([Layer(np.array([[0.0]]), np.array([0.0]), "identity")])
+    net = ParamSet([Layer(np.array([[0.0]]), np.array([0.0]))])
     state = init_adam(net)
     g = GradSet(net.layout.pack([[[1.0]]], [[0.0]]), net.layout)
     adam_step(state, net, g, cfg.lr_critic)
@@ -181,5 +183,7 @@ def test_init_bounds_follow_fan_in(rng):
     assert np.max(np.abs(w0)) <= np.sqrt(1 / 4)
     w1 = net.layers[1].weight
     assert np.max(np.abs(w1)) <= np.sqrt(1 / 64)
-    assert net.layers[0].activation == "gelu"
-    assert net.layers[-1].activation == "identity"
+    # GELU on every layer but the last, identity on the last
+    x = rng.standard_normal((3, 4))
+    out, _ = mlp_forward(net, x)
+    assert np.array_equal(out, gelu(x @ w0.T + net.layers[0].bias) @ w1.T + net.layers[1].bias)

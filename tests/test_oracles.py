@@ -45,7 +45,7 @@ def test_truth_horizon():
 
 
 def test_finite_diff_linear_exact():
-    net = ParamSet([Layer(np.array([[1.0, 2.0]]), np.array([0.5]), "identity")])
+    net = ParamSet([Layer(np.array([[1.0, 2.0]]), np.array([0.5]))])
     coeffs = np.array([3.0, -4.0])
 
     def fn(p):
@@ -58,7 +58,7 @@ def test_finite_diff_linear_exact():
 
 
 def test_finite_diff_quadratic():
-    net = ParamSet([Layer(np.array([[3.0]]), np.array([0.0]), "identity")])
+    net = ParamSet([Layer(np.array([[3.0]]), np.array([0.0]))])
 
     def fn(p):
         return float(p.layers[0].weight[0, 0] ** 2)

@@ -81,7 +81,7 @@ def test_sample_deterministic_by_seed():
         buf.push(tr(k))
     a = buf.sample(16, np.random.default_rng(5))
     b = buf.sample(16, np.random.default_rng(5))
-    for field in ("s", "a", "r", "s_next", "done", "truncated"):
+    for field in ("s", "a", "r", "s_next", "done"):
         assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -90,12 +90,12 @@ def test_sample_arrays_contiguous_float64():
     for k in range(5):
         buf.push(tr(k, dim=3, done=k == 2))
     out = buf.sample(6, np.random.default_rng(1))
-    shapes = {"s": (6, 3), "a": (6, 1), "r": (6,), "s_next": (6, 3), "done": (6,), "truncated": (6,)}
+    shapes = {"s": (6, 3), "a": (6, 1), "r": (6,), "s_next": (6, 3), "done": (6,)}
     for field, shape in shapes.items():
         arr = getattr(out, field)
         assert arr.shape == shape
         assert arr.flags["C_CONTIGUOUS"]
-        assert arr.dtype == (bool if field in ("done", "truncated") else np.float64)
+        assert arr.dtype == (bool if field == "done" else np.float64)
     assert np.array_equal(out.done, out.r == 2.0)
 
 
