@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .critic import CriticPairState, critic_forward
+from .critic import CriticPairState, critic_input
 from .distributions import (
     EPS_TANH,
     LOG_STD_MAX,
@@ -21,6 +21,7 @@ from .distributions import (
     PolicyDistParams,
     policy_head,
     policy_sample,
+    reparameterized_draw,
 )
 from .numerics import GradSet, NumericalError, ParamSet, mlp_backward, mlp_forward
 
@@ -71,20 +72,22 @@ def actor_gradient(
     chosen critic's input and through the squash correction.
     """
     states = np.atleast_2d(np.asarray(batch_states, dtype=np.float64))
-    n = states.shape[0]
+    n, obs_dim = states.shape
     raw, cache_pi = mlp_forward(phi, states)
     dist = policy_head(raw)
     d = dist.mu.shape[1]
     raw_ls = raw[:, d:]
-    in_range = ((raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)).astype(np.float64)
+    in_range = (raw_ls > LOG_STD_MIN) & (raw_ls < LOG_STD_MAX)
     zeta = rng.standard_normal((n, d))
-    t, _ = policy_sample(dist, zeta)
+    t, std, _, _ = reparameterized_draw(dist, zeta)  # t: the action tanh(u), kept inside the box
 
+    # only the critics' mean channel is read
+    x = critic_input(states, t)
     q_vals = []
     caches = []
     for i in active:
-        q_i, _, _, cache_i = critic_forward(critics.theta[i], states, t)
-        q_vals.append(q_i)
+        raw_i, cache_i = mlp_forward(critics.theta[i], x)
+        q_vals.append(raw_i[:, 0])
         caches.append(cache_i)
     if len(active) == 1:
         choice = np.zeros(n, dtype=int)
@@ -94,18 +97,28 @@ def actor_gradient(
     # dQ/da of the per-sample chosen critic, via masked input gradients
     dq_da = np.zeros((n, d))
     for k, i in enumerate(active):
-        sel = (choice == k).astype(np.float64)
-        out_grad = np.stack([sel, np.zeros(n)], axis=1)
-        _, input_grad = mlp_backward(critics.theta[i], caches[k], out_grad)
-        dq_da += input_grad[:, states.shape[1] :]
+        out_grad = np.zeros((n, 2))
+        out_grad[:, 0] = choice == k
+        _, input_grad = mlp_backward(critics.theta[i], caches[k], out_grad, input_only=True)
+        dq_da += input_grad[:, obs_dim:]
 
-    one_minus_t2 = 1.0 - t * t
-    dlogp_du = 2.0 * t * one_minus_t2 / (one_minus_t2 + EPS_TANH)
-    g_u = dq_da * one_minus_t2 - alpha * dlogp_du
-    g_mu = g_u
+    one_minus_t2 = t * t
+    np.subtract(1.0, one_minus_t2, out=one_minus_t2)
+    dlogp_du = 2.0 * t
+    dlogp_du *= one_minus_t2
+    dlogp_du /= one_minus_t2 + EPS_TANH
+    dlogp_du *= alpha
+    g_u = dq_da
+    g_u *= one_minus_t2
+    g_u -= dlogp_du  # dQ/da * (1 - t^2) - alpha * dlogp/du
     # direct log_std part of logp is -1 per dimension; the rest rides on u
-    g_ls = (g_u * np.exp(dist.log_std) * zeta + alpha) * in_range
-    out_grad_pi = np.concatenate([g_mu, g_ls], axis=1) / n
+    g_ls = g_u * std
+    g_ls *= zeta
+    g_ls += alpha
+    g_ls *= in_range
+    out_grad_pi = np.empty((n, 2 * d))  # [g_mu, g_ls] / n
+    np.divide(g_u, n, out=out_grad_pi[:, :d])
+    np.divide(g_ls, n, out=out_grad_pi[:, d:])
     grads, _ = mlp_backward(phi, cache_pi, out_grad_pi)
     if not grads.is_finite():
         raise NumericalError(

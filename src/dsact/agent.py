@@ -4,13 +4,14 @@ A checkpoint (format 2) is one uncompressed zip in ``.npz`` form. Its
 first member, ``header.json``, is UTF-8 JSON holding state only: the
 config echo, the env block (name, obs_dim, act_dim), the counters, the
 temperature alpha, each critic's b / omega / stats flag and the Adam
-step counts. Every other member is one float64 ``.npy`` vector: a
-network's flat parameter buffer (``actor``, ``actor_target``,
-``critic1``, ``critic2``, ``critic1_target``, ``critic2_target``) or an
-Adam moment buffer (``adam.<network>.m`` / ``.v`` for ``actor``,
-``critic1`` and ``critic2``). Raw float64 keeps round trips bit-exact,
-and the fixed member order and zip timestamps make a re-save of a
-loaded agent byte-identical.
+step counts; the counters and Adam steps load only from JSON integers
+and the stats flags only from JSON booleans. Every other member is one
+float64 ``.npy`` vector: a network's flat parameter buffer (``actor``,
+``actor_target``, ``critic1``, ``critic2``, ``critic1_target``,
+``critic2_target``) or an Adam moment buffer (``adam.<network>.m`` /
+``.v`` for ``actor``, ``critic1`` and ``critic2``). Raw float64 keeps
+round trips bit-exact, and the fixed member order and zip timestamps
+make a re-save of a loaded agent byte-identical.
 
 Nothing else is stored because the loader derives it as `build_agent`
 does: each network's layout from the config echo's hidden sizes and the
@@ -133,11 +134,23 @@ def _field(doc: dict, *path: str):
     return node
 
 
-def _number(doc: dict, *path: str, kind=float):
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(doc: dict, *path: str) -> float:
     value = _field(doc, *path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"checkpoint {_where(path)} must be a number, got {value!r}")
-    return kind(value)
+    return float(value)
+
+
+def _count(doc: dict, *path: str) -> int:
+    """A counter or Adam step: a non-negative JSON integer, never truncated."""
+    value = _field(doc, *path)
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"checkpoint {_where(path)} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _dim(header: dict, key: str) -> int:
@@ -149,10 +162,12 @@ def _dim(header: dict, key: str) -> int:
 
 
 def _pair(doc: dict, key: str, kind) -> list:
-    """One value per critic."""
+    """One value per critic: two numbers, as floats, for ``float``; two
+    JSON booleans for ``bool``."""
     values = _field(doc, key)
-    if not isinstance(values, list) or len(values) != 2 or not all(isinstance(v, (int, float)) for v in values):
-        raise ConfigError(f"checkpoint {_where([key])} must be 2 numbers, got {values!r}")
+    valid, what = (_is_number, "numbers") if kind is float else ((lambda v: type(v) is bool), "booleans")
+    if not isinstance(values, list) or len(values) != 2 or not all(map(valid, values)):
+        raise ConfigError(f"checkpoint {_where([key])} must be 2 {what}, got {values!r}")
     return [kind(v) for v in values]
 
 
@@ -213,11 +228,11 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
             obs_dim, act_dim = (_dim(header, key) for key in ("obs_dim", "act_dim"))
             actor = Layout.chain(actor_sizes(obs_dim, act_dim, cfg.hidden_actor))
             critic = Layout.chain(critic_sizes(obs_dim, act_dim, cfg.hidden_critic))
-            adam_steps = {name: _number(header, "adam_steps", name, kind=int) for name in ADAM_NETWORKS}
+            adam_steps = {name: _count(header, "adam_steps", name) for name in ADAM_NETWORKS}
             b, omega = _pair(header, "b", float), _pair(header, "omega", float)
             stats_initialized = _pair(header, "stats_initialized", bool)
             temperature = Temperature(_number(header, "alpha"), _target_entropy(cfg, act_dim), cfg.lr_alpha)
-            counters = {key: _number(header, key, kind=int) for key in ("iteration", "env_steps")}
+            counters = {key: _count(header, key) for key in ("iteration", "env_steps")}
         except ConfigError as exc:
             raise ConfigError(f"{exc} ({path}, member {HEADER!r})") from exc
 

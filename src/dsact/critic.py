@@ -90,10 +90,14 @@ def init_critic_pair(
     )
 
 
+def critic_input(states, actions) -> np.ndarray:
+    """A critic's input rows: the state, then the action."""
+    return np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
+
+
 def critic_forward(theta: ParamSet, states: np.ndarray, actions: np.ndarray):
     """Batched (q, sigma) with the forward cache kept for backprop."""
-    x = np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
-    raw, cache = mlp_forward(theta, x)
+    raw, cache = mlp_forward(theta, critic_input(states, actions))
     q, sigma = value_head_batch(raw)
     return q, sigma, raw, cache
 
@@ -161,28 +165,47 @@ def build_targets(
     dist = policy_head(raw)
     a2, logp = policy_sample(dist, rng.standard_normal(dist.mu.shape))
 
-    q_bars = []
-    sigma_bars = []
-    for i in range(2):
-        q_i, sigma_i, _, _ = critic_forward(state.theta_bar[i], s2, a2)
-        q_bars.append(q_i)
-        sigma_bars.append(sigma_i)
+    # both target critics run; a single-critic kernel reads critic 0's only
+    x = critic_input(s2, a2)
+    q_next, sigma_next = value_head_batch(mlp_forward(state.theta_bar[0], x)[0])
+    raw_1, _ = mlp_forward(state.theta_bar[1], x)
     if twin:
-        chosen = np.where(q_bars[0] <= q_bars[1], 0, 1)
+        q_1, sigma_1 = value_head_batch(raw_1)
+        first = q_next <= q_1
+        chosen = np.where(first, 0, 1)
+        q_next = np.where(first, q_next, q_1)
+        sigma_next = np.where(first, sigma_next, sigma_1)
     else:
         chosen = np.zeros(len(r), dtype=int)
-    q_next = np.where(chosen == 0, q_bars[0], q_bars[1])
-    sigma_next = np.where(chosen == 0, sigma_bars[0], sigma_bars[1])
 
-    entropy_adjusted = q_next - alpha * logp
-    y_q = r + mask * gamma * entropy_adjusted
+    alpha_logp = alpha * logp
+    discount = mask * gamma
+    y_q = q_next - alpha_logp  # the entropy-adjusted next value
+    y_q *= discount
+    y_q += r
     if draw_z:
         z_noise = rng.standard_normal(len(r))
-        z_draw = q_next + sigma_next * z_noise
-        y_z = r + mask * gamma * (z_draw - alpha * logp)
+        y_z = sigma_next * z_noise
+        y_z += q_next  # the random next value z
+        y_z -= alpha_logp
+        y_z *= discount
+        y_z += r
     else:
         y_z = y_q.copy()
     return y_q, y_z, chosen, sigma_next
+
+
+def _output_grad(g_q, g_raw_sigma=None):
+    """The (n, 2) output gradient of a batch mean: the columns g_q / n
+    and g_raw_sigma / n (zero when None), written in place."""
+    n = len(g_q)
+    out = np.empty((n, 2))
+    np.divide(g_q, n, out=out[:, 0])
+    if g_raw_sigma is None:
+        out[:, 1] = 0.0
+    else:
+        np.divide(g_raw_sigma, n, out=out[:, 1])
+    return out
 
 
 def assemble_critic_gradient(
@@ -202,11 +225,8 @@ def assemble_critic_gradient(
     q, sigma, raw, cache = critic_forward(theta, s, a)
     y_z_clipped = clip_target(y_z, q, b)
     g_q, g_sigma = _coeff_arrays(mean_target, y_z_clipped, q, sigma, eps)
-    n = len(q)
-    out_grad = np.stack(
-        [g_q / n, g_sigma * value_head_sigma_grad(raw[:, 1]) / n], axis=1
-    )
-    grads, _ = mlp_backward(theta, cache, out_grad)
+    g_sigma *= value_head_sigma_grad(raw[:, 1])
+    grads, _ = mlp_backward(theta, cache, _output_grad(g_q, g_sigma))
     return grads, q, sigma
 
 
@@ -220,21 +240,15 @@ def _assemble_fixed_boundary_gradient(theta, s, a, mean_target, y_z, b):
     sigma = np.maximum(sigma, SIGMA_FLOOR_V1)
     y_z_clipped = clip_target(y_z, q, b)
     g_q, g_sigma = _coeff_arrays(mean_target, y_z_clipped, q, sigma, 0.0)
-    n = len(q)
-    out_grad = np.stack(
-        [g_q / n, g_sigma * value_head_sigma_grad(raw[:, 1]) / n], axis=1
-    )
-    grads, _ = mlp_backward(theta, cache, out_grad)
+    g_sigma *= value_head_sigma_grad(raw[:, 1])
+    grads, _ = mlp_backward(theta, cache, _output_grad(g_q, g_sigma))
     return grads, q, sigma
 
 
 def _assemble_sac_gradient(theta, s, a, y_q):
     # mean-squared TD kernel; the sigma channel carries no gradient
     q, sigma, raw, cache = critic_forward(theta, s, a)
-    g_q = -(y_q - q)
-    n = len(q)
-    out_grad = np.stack([g_q / n, np.zeros(n)], axis=1)
-    grads, _ = mlp_backward(theta, cache, out_grad)
+    grads, _ = mlp_backward(theta, cache, _output_grad(-(y_q - q)))
     return grads, q, sigma
 
 

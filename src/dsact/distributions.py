@@ -80,21 +80,31 @@ def _squashed_logprob(u, mu, std, t):
     return float(out) if out.ndim == 0 else out
 
 
-def policy_sample(dist: PolicyDistParams, noise: np.ndarray):
-    """Reparameterized draw u = mu + std * noise; returns (a, logp) with
-    a = tanh(u) kept strictly inside the open action box and logp its
-    log density under the policy.
+def reparameterized_draw(dist: PolicyDistParams, noise: np.ndarray):
+    """The one reparameterized draw u = mu + std * noise; returns
+    (a, std, u, t) with std = exp(log_std), t = tanh(u), and the action
+    a = t kept strictly inside the open action box.
 
-    The one sampler of the engine: rollout actions, target actions, the
-    actor's reparameterized actions and the entropy estimates all draw
-    through it. It computes std and tanh(u) once for both outputs, with
-    the same floats as ``policy_logprob(dist, u)``.
+    Rollout actions, target actions and the entropy estimates draw
+    through it by way of `policy_sample`; the actor's gradient draws
+    through it directly, since it needs std and no log density.
     """
     std = np.exp(dist.log_std)
     u = dist.mu + std * noise
     t = np.tanh(u)
     # the ndarray method skips np.clip's dispatch, a few us per batch-1 call
-    return t.clip(_A_LO, _A_HI), _squashed_logprob(u, dist.mu, std, t)
+    return t.clip(_A_LO, _A_HI), std, u, t
+
+
+def policy_sample(dist: PolicyDistParams, noise: np.ndarray):
+    """The squashed action of `reparameterized_draw` and its log
+    density under the policy: (a, logp).
+
+    It reuses the draw's std and tanh(u), with the same floats as
+    ``policy_logprob(dist, u)``.
+    """
+    a, std, u, t = reparameterized_draw(dist, noise)
+    return a, _squashed_logprob(u, dist.mu, std, t)
 
 
 def policy_logprob(dist: PolicyDistParams, u: np.ndarray) -> float:

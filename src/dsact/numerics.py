@@ -36,11 +36,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_DELTA = 1e-8
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# The GELU CDF's constants are 0-d float64 arrays, not Python floats:
+# The GELU's constants are 0-d float64 arrays, not Python floats:
 # numpy converts a Python float operand anew on every ufunc call, which
 # adds about half again to each op on a batch-1 row. Same floats.
 _INV_SQRT2, _ONE, _HALF = np.array(1.0 / np.sqrt(2.0)), np.array(1.0), np.array(0.5)
+_INV_SQRT_2PI, _MINUS_HALF = np.array(1.0 / np.sqrt(2.0 * np.pi)), np.array(-0.5)
 
 
 class NumericalError(RuntimeError):
@@ -50,29 +50,43 @@ class NumericalError(RuntimeError):
 def _gelu_cdf(z):
     """Phi(z), the exact normal CDF (erf form); GELU(z) = z * Phi(z).
 
-    Computed as 0.5 * (1 + erf(z * (1 / sqrt 2))), in place on the erf result
-    (a numpy scalar for 0-d input, which the augmented ops rebind)."""
-    cdf = erf(z * _INV_SQRT2)
+    Computed as 0.5 * (1 + erf(z * (1 / sqrt 2))) in one buffer: the scaled
+    input, then erf written over it, then the two in-place steps. ``z``
+    has at least one dimension (`gelu` and `gelu_grad` pass a 1-d view)."""
+    cdf = z * _INV_SQRT2
+    erf(cdf, out=cdf)
     cdf += _ONE
     cdf *= _HALF
     return cdf
 
 
 def _gelu_slope(z, cdf):
-    """GELU'(z) = Phi(z) + z * pdf(z), given cdf = Phi(z)."""
-    return cdf + z * _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    """GELU'(z) = Phi(z) + z * pdf(z), given cdf = Phi(z), as
+    cdf + (z * (1 / sqrt(2 pi))) * exp((-0.5 * z) * z) in two buffers."""
+    bell = z * _MINUS_HALF
+    bell *= z
+    np.exp(bell, out=bell)
+    slope = z * _INV_SQRT_2PI
+    slope *= bell
+    slope += cdf
+    return slope
+
+
+def _as_vector(x):
+    # a 1-d float64 view, so the in-place helpers also take 0-d and Python floats
+    return np.asarray(x, dtype=np.float64).reshape(-1)
 
 
 def gelu(x):
     """x * Phi(x), as mlp_forward computes it."""
-    x = np.asarray(x, dtype=np.float64)
-    return x * _gelu_cdf(x)
+    z = _as_vector(x)
+    return (z * _gelu_cdf(z)).reshape(np.shape(x))
 
 
 def gelu_grad(x):
     """Derivative of gelu, as mlp_backward computes it."""
-    x = np.asarray(x, dtype=np.float64)
-    return _gelu_slope(x, _gelu_cdf(x))
+    z = _as_vector(x)
+    return _gelu_slope(z, _gelu_cdf(z)).reshape(np.shape(x))
 
 
 @dataclass
@@ -252,14 +266,16 @@ def mlp_forward(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, ForwardCac
 
 
 def mlp_backward(
-    params: ParamSet, cache: ForwardCache, output_grad: np.ndarray
-) -> tuple[GradSet, np.ndarray]:
+    params: ParamSet, cache: ForwardCache, output_grad: np.ndarray, input_only: bool = False
+) -> tuple[GradSet | None, np.ndarray]:
     """Reverse-mode derivatives of sum_batch <output, output_grad>.
 
     Returns the parameter gradient and the gradient with respect to the
     input (same leading shape as the forward input). For batched calls
     the parameter gradient is the sum over the batch; divide by the
-    batch size for a mean.
+    batch size for a mean. With ``input_only`` the parameter gradient
+    is not formed and None stands in its place; the input gradient is
+    the same.
     """
     if len(cache.inputs) != len(params.layers):
         raise ValueError("cache does not match network depth")
@@ -269,26 +285,33 @@ def mlp_backward(
     if g.shape != cache.pre_acts[-1].shape:
         raise ValueError("output_grad shape does not match cached forward pass")
     layout = params.layout
-    flat = np.empty(layout.size)
+    flat = None if input_only else np.empty(layout.size)
     last = len(params.layers) - 1
     for i in range(last, -1, -1):
         layer = params.layers[i]
         if i < last:
-            g = g * _gelu_slope(cache.pre_acts[i], cache.cdfs[i])
-        w, _, b, _ = layout.spans[i]
-        # copied in: matmul/reduce with out= views measured slower in training
-        flat[w] = (g.T @ cache.inputs[i]).ravel()
-        flat[b] = g.sum(axis=0)
+            slope = _gelu_slope(cache.pre_acts[i], cache.cdfs[i])
+            slope *= g
+            g = slope
+        if flat is not None:
+            w, _, b, _ = layout.spans[i]
+            # copied in: matmul/reduce with out= views measured slower in training
+            flat[w] = (g.T @ cache.inputs[i]).ravel()
+            flat[b] = g.sum(axis=0)
         g = g @ layer.weight
     input_grad = g[0] if cache.single else g
-    return GradSet(flat, layout), input_grad
+    return (None if flat is None else GradSet(flat, layout)), input_grad
 
 
 def adam_step(
     state: AdamState, params: ParamSet, grads: GradSet, lr: float
 ) -> tuple[ParamSet, AdamState]:
     """One bias-corrected Adam update over the whole flat buffer; mutates
-    state and params in place."""
+    state and params in place.
+
+    The step is lr * (m / c1) / (sqrt(v / c2) + delta), with every
+    product and quotient formed in one scratch buffer and the numerator
+    in a second."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if grads.layout != params.layout or state.layout != params.layout:
@@ -302,10 +325,19 @@ def adam_step(
     c2 = 1.0 - b2**t
     m, v, g = state.m, state.v, grads.flat
     m *= b1
-    m += (1.0 - b1) * g
+    scratch = np.multiply(g, 1.0 - b1)
+    m += scratch
     v *= b2
-    v += (1.0 - b2) * g * g
-    params.flat -= lr * (m / c1) / (np.sqrt(v / c2) + d)
+    np.multiply(g, 1.0 - b2, out=scratch)
+    scratch *= g
+    v += scratch
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += d
+    step = np.divide(m, c1)
+    step *= lr
+    step /= scratch
+    params.flat -= step
     return params, state
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+import dsact.actor as actor_module
 from dsact.actor import (
     ALPHA_MIN,
     Temperature,
@@ -12,7 +13,15 @@ from dsact.actor import (
     temperature_update,
 )
 from dsact.critic import critic_forward, init_critic_pair
-from dsact.distributions import EPS_TANH, LOG_STD_MAX, LOG_STD_MIN, PolicyDistParams, policy_logprob
+from dsact.distributions import (
+    EPS_TANH,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    PolicyDistParams,
+    policy_head,
+    policy_logprob,
+    policy_sample,
+)
 from dsact.numerics import init_mlp, mlp_forward
 from dsact.oracles import finite_diff_grad
 
@@ -153,6 +162,40 @@ def test_act_stochastic_matches_reference_bit_for_bit(hidden, act_dim, n, out_sc
         a_ref, logp_ref = reference_act_stochastic(phi, obs, np.random.default_rng(5))
         assert np.array_equal(a, a_ref)
         assert type(logp) is type(logp_ref) and np.array_equal(logp, logp_ref)
+
+
+@pytest.mark.parametrize("n", [1, 128])
+def test_actor_draws_the_policy_sample_action(monkeypatch, n):
+    """The action the actor gradient feeds its critics is
+    policy_sample(dist, zeta)[0] for the same zeta, bit for bit. A
+    scaled output layer drives log_std onto both clamps and |u| past 19,
+    where tanh saturates and the box clip binds."""
+    obs_dim, act_dim = 3, 2
+    phi, critics, _ = make_setup(seed=4, obs_dim=obs_dim, act_dim=act_dim, hidden=(8, 8))
+    phi.layers[-1].weight[:] *= 400.0
+    phi.layers[-1].bias[:] *= 400.0
+    states = np.random.default_rng(11).standard_normal((128, obs_dim)) * 3.0
+    critic_inputs = []
+
+    def spy(params, x):
+        if params is critics.theta[0]:
+            critic_inputs.append(np.array(x))
+        return mlp_forward(params, x)
+
+    monkeypatch.setattr(actor_module, "mlp_forward", spy)
+    seen_ls, seen_u = [], []
+    for j in range(0, 128, n):
+        batch = states[j : j + n]
+        actor_gradient(phi, batch, critics, 0.3, np.random.default_rng(j))
+        raw, _ = mlp_forward(phi, batch)
+        dist = policy_head(raw)
+        zeta = np.random.default_rng(j).standard_normal(dist.mu.shape)
+        assert np.array_equal(critic_inputs[-1][:, obs_dim:], policy_sample(dist, zeta)[0])
+        seen_ls.append(raw[:, act_dim:])
+        seen_u.append(dist.mu + np.exp(dist.log_std) * zeta)
+    seen_ls, seen_u = np.concatenate(seen_ls), np.concatenate(seen_u)
+    assert (seen_ls < LOG_STD_MIN).any() and (seen_ls > LOG_STD_MAX).any()
+    assert (np.abs(seen_u) > 19.0).any() and (np.abs(seen_u) < 19.0).any()
 
 
 def test_temperature_fixed_point():

@@ -96,7 +96,7 @@ def ref_soft_update(source, target, tau):
     return target
 
 
-def ref_mlp_backward(params, cache, output_grad):
+def ref_mlp_backward(params, cache, output_grad, input_only=False):
     if len(cache.inputs) != len(params.layers):
         raise ValueError("cache does not match network depth")
     g = np.asarray(output_grad, dtype=np.float64)
@@ -116,6 +116,8 @@ def ref_mlp_backward(params, cache, output_grad):
         d_biases[i] = g.sum(axis=0)
         g = g @ layer.weight
     input_grad = g[0] if cache.single else g
+    if input_only:  # the same input gradient, no parameter gradient
+        return None, input_grad
     return GradSet(params.layout.pack(d_weights, d_biases), params.layout), input_grad
 
 
@@ -240,6 +242,8 @@ def test_arena_ops_match_per_layer_reference(rng):
             grads, input_grad = mlp_backward(net, mlp_forward(net, x)[1], og)
             ref_grads, ref_input_grad = ref_mlp_backward(ref_net, mlp_forward(ref_net, x)[1], og)
             assert np.array_equal(input_grad, ref_input_grad)
+            _, only = mlp_backward(net, mlp_forward(net, x)[1], og, input_only=True)
+            assert np.array_equal(only, ref_input_grad)
             for a, b in zip(per_array(grads.flat, grads.layout), per_array(ref_grads.flat, ref_grads.layout)):
                 assert np.array_equal(a, b)
             c = float(rng.uniform(0.1, 3.0))

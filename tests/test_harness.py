@@ -215,6 +215,30 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (lambda h: h.update(iteration=3.7), "['iteration'] must be a non-negative integer, got 3.7"),
+            (lambda h: h.update(iteration=3.0), "['iteration'] must be a non-negative integer, got 3.0"),
+            (lambda h: h.update(env_steps=True), "['env_steps'] must be a non-negative integer, got True"),
+            (lambda h: h.update(env_steps=-1), "['env_steps'] must be a non-negative integer, got -1"),
+            (lambda h: h["adam_steps"].update(actor=2.5), "['adam_steps']['actor'] must be a non-negative integer"),
+            (lambda h: h["adam_steps"].update(critic1=1.0), "['adam_steps']['critic1'] must be a non-negative integer"),
+            (lambda h: h["adam_steps"].update(critic2=False), "['adam_steps']['critic2'] must be a non-negative integer"),
+            (lambda h: h.update(stats_initialized=[0.5, True]), "['stats_initialized'] must be 2 booleans, got [0.5, True]"),
+            (lambda h: h.update(stats_initialized=[True, 0]), "['stats_initialized'] must be 2 booleans, got [True, 0]"),
+            (lambda h: h.update(b=[1.0, True]), "['b'] must be 2 numbers"),
+        ],
+    )
+    def test_counters_steps_and_flags_are_not_coerced(self, tmp_path, change, named):
+        """Counters and Adam steps load only from JSON integers and the
+        stats flags only from JSON booleans; nothing is truncated or cast."""
+        path, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, edit_header(change))
+        with pytest.raises(ConfigError, match=re.escape(named)) as caught:
+            load_checkpoint(path)
+        assert str(path) in str(caught.value)
+
     def test_header_holds_state_only(self, tmp_path):
         path, _ = saved_checkpoint(tmp_path)
         _, header = load_checkpoint(path)
@@ -685,6 +709,13 @@ class TestCli:
         rewrite_checkpoint(ckpt, edit_header(lambda header: header["config"].update(hidden_critic=[8])))
         assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
         assert "member 'critic1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
+    def test_fractional_counter_exit_code(self, tmp_path, capsys, command):
+        ckpt, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(ckpt, edit_header(lambda header: header["adam_steps"].update(actor=2.5)))
+        assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
+        assert "['adam_steps']['actor'] must be a non-negative integer, got 2.5" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["train", "--config", str(tmp_path / "nope.json")]) == 2

@@ -23,6 +23,19 @@ def test_gelu_fixed_points():
     assert abs(gelu(-10.0)) < 1e-8
 
 
+def test_gelu_takes_scalars_and_0d_arrays():
+    """The in-place GELU helpers see a 1-d view; scalar inputs keep
+    their shape and the values of a 1-d call."""
+    assert gelu_grad(0.0) == 0.5
+    xs = np.array([-3.0, -0.5, 0.0, 0.25, 4.0])
+    for f in (gelu, gelu_grad):
+        for j, x in enumerate(xs):
+            for form in (float(x), np.array(x), np.float64(x)):
+                out = f(form)
+                assert np.shape(out) == () and out == f(xs)[j]
+    assert gelu(np.zeros((2, 0, 3))).shape == (2, 0, 3)
+
+
 def test_gelu_derivative_matches_central_differences():
     xs = np.linspace(-4, 4, 41)
     h = 1e-6
@@ -123,6 +136,21 @@ def test_backward_batched_equals_sum_of_singles(rng):
         g, _ = mlp_backward(net, c, ogs[j])
         total = GradSet(total.flat + g.flat, total.layout)
     assert grad_rel_err(batched, total) < 1e-12
+
+
+@pytest.mark.parametrize("batch", [None, 1, 128])
+def test_input_only_backward_is_the_full_input_gradient(rng, batch):
+    """input_only forms no parameter gradient and the same input
+    gradient, bit for bit, for one vector, batch 1 and batch 128."""
+    for _ in range(10):
+        net, sizes = random_net(rng, max_units=64)
+        x = rng.standard_normal(sizes[0] if batch is None else (batch, sizes[0]))
+        og = rng.standard_normal(sizes[-1] if batch is None else (batch, sizes[-1]))
+        _, cache = mlp_forward(net, x)
+        _, full = mlp_backward(net, cache, og)
+        none, only = mlp_backward(net, cache, og, input_only=True)
+        assert none is None and only.shape == x.shape
+        assert np.array_equal(only, full)
 
 
 def test_backward_rejects_mismatched_cache(rng):

@@ -99,6 +99,34 @@ def test_sample_arrays_contiguous_float64():
     assert np.array_equal(out.done, out.r == 2.0)
 
 
+@pytest.mark.parametrize("pushes", [5, 8, 21])
+def test_sample_is_the_fancy_index_gather(pushes):
+    """Each sampled field equals that field's ring indexed with the same
+    draws: act_dim 2, bool done, and a ring that has wrapped (21 pushes
+    into 8 slots)."""
+    buf = ReplayBuffer(capacity=8)
+    gen = np.random.default_rng(3)
+    for k in range(pushes):
+        buf.push(
+            Transition(
+                s=gen.standard_normal(3),
+                a=gen.uniform(-1.0, 1.0, 2),
+                r=float(gen.standard_normal()),
+                s_next=gen.standard_normal(3),
+                done=k % 3 == 0,
+            )
+        )
+    rows = buf.contents()
+    for n in (1, 7, 64):
+        out = buf.sample(n, np.random.default_rng(n))
+        idx = np.random.default_rng(n).integers(0, buf.count, size=n)
+        for field in ("s", "a", "r", "s_next", "done"):
+            got, want = getattr(out, field), getattr(rows, field)[idx]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert out.a.shape == (n, 2) and out.done.dtype == bool
+
+
 def test_sample_consumes_one_integers_draw():
     buf = ReplayBuffer(capacity=16)
     for k in range(11):
