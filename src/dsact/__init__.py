@@ -29,6 +29,6 @@ from .environments import make_env
 from .harness import evaluate, measure_bias, run_ablation, train
 from .numerics import AdamState, GradSet, NumericalError, ParamSet, adam_step, gelu, mlp_backward, mlp_forward
 from .oracles import BiasReport, finite_diff_grad, mc_true_q, numeric_soft_q
-from .replay import Batch, ReplayBuffer, Transition
+from .replay import Batch, ReplayBuffer
 
 __version__ = "0.1.0"

@@ -47,19 +47,21 @@ def policy_forward(phi: ParamSet, states: np.ndarray) -> PolicyDistParams:
 
 
 def act_stochastic(phi: ParamSet, obs: np.ndarray, rng: np.random.Generator):
-    """Sample an action for rollout; returns (action, logp)."""
-    dist = policy_forward(phi, obs)
-    return policy_sample(dist, rng.standard_normal(dist.mu.shape))
+    """Sample an action for one observation, drawn as a 1-row batch;
+    returns (action, logp)."""
+    dist = policy_forward(phi, obs[None])
+    a, logp = policy_sample(dist, rng.standard_normal(dist.mu.shape))
+    return a[0], float(logp[0])
 
 
 def act_deterministic(phi: ParamSet, obs: np.ndarray) -> np.ndarray:
-    """Evaluation action: the squashed distribution mode tanh(mu)."""
-    return np.tanh(policy_forward(phi, obs).mu)
+    """Evaluation action for one observation: the squashed mode tanh(mu)."""
+    return np.tanh(policy_forward(phi, obs[None]).mu)[0]
 
 
 def actor_gradient(
     phi: ParamSet,
-    batch_states: np.ndarray,
+    states: np.ndarray,
     critics: CriticPairState,
     alpha: float,
     rng: np.random.Generator,
@@ -71,7 +73,6 @@ def actor_gradient(
     constants, but the gradient flows through the action into the
     chosen critic's input and through the squash correction.
     """
-    states = np.atleast_2d(np.asarray(batch_states, dtype=np.float64))
     n, obs_dim = states.shape
     raw, cache_pi = mlp_forward(phi, states)
     dist = policy_head(raw)
@@ -128,9 +129,8 @@ def actor_gradient(
     return grads
 
 
-def temperature_update(temp: Temperature, logp_batch) -> Temperature:
+def temperature_update(temp: Temperature, logp_batch: np.ndarray) -> Temperature:
     """Move alpha toward the target entropy; floors keep it positive."""
-    logp = np.asarray(logp_batch, dtype=np.float64)
-    grad = float(np.mean(-logp - temp.target_entropy))
+    grad = float(np.mean(-logp_batch - temp.target_entropy))
     alpha_new = max(ALPHA_MIN, temp.alpha - temp.lr_alpha * grad)
     return replace(temp, alpha=alpha_new)

@@ -237,7 +237,7 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
             raise ConfigError(f"{exc} ({path}, member {HEADER!r})") from exc
 
         nets = {
-            name: ParamSet.from_flat(_buffer(npz, path, name, layout), layout)
+            name: ParamSet(_buffer(npz, path, name, layout), layout)
             for name, layout in zip(NETWORKS, (actor, actor, critic, critic, critic, critic), strict=True)
         }
         adams = {}

@@ -123,6 +123,12 @@ class RunConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # train updates once the buffer holds warm_size rows, which a smaller ring never does
+        if self.warm_size > self.buffer_capacity:
+            raise ConfigError(
+                f"warm_size {self.warm_size} exceeds buffer_capacity {self.buffer_capacity}; "
+                "training would never update"
+            )
         if self.total_iterations < 0:
             raise ConfigError("total_iterations must be >= 0")
         if self.updates_per_iteration is not None and self.updates_per_iteration < 0:

@@ -90,9 +90,9 @@ def init_critic_pair(
     )
 
 
-def critic_input(states, actions) -> np.ndarray:
+def critic_input(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """A critic's input rows: the state, then the action."""
-    return np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
+    return np.concatenate([states, actions], axis=1)
 
 
 def critic_forward(theta: ParamSet, states: np.ndarray, actions: np.ndarray):
@@ -102,9 +102,9 @@ def critic_forward(theta: ParamSet, states: np.ndarray, actions: np.ndarray):
     return q, sigma, raw, cache
 
 
-def clip_target(y_z, q_current, b):
+def clip_target(y_z: np.ndarray, q_current: np.ndarray, b: float) -> np.ndarray:
     """Clamp the random target into [q_current - b, q_current + b]."""
-    return np.asarray(y_z).clip(q_current - b, q_current + b)
+    return y_z.clip(q_current - b, q_current + b)
 
 
 def _coeff_arrays(mean_target, y_z_clipped, q, sigma, eps):
@@ -114,10 +114,9 @@ def _coeff_arrays(mean_target, y_z_clipped, q, sigma, eps):
 
 
 def update_boundary_scale(
-    b: float, omega: float, sigma_batch, tau: float, xi: float
+    b: float, omega: float, sigma_batch: np.ndarray, tau: float, xi: float
 ) -> tuple[float, float]:
     """Moving-average refresh of the clip boundary and gradient scale."""
-    sigma_batch = np.asarray(sigma_batch, dtype=np.float64)
     if sigma_batch.size == 0:
         raise ValueError("sigma_batch must be non-empty")
     if not 0 <= tau <= 1:

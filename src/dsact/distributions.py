@@ -28,7 +28,7 @@ _LOG_STD_LO, _LOG_STD_HI = np.array(LOG_STD_MIN), np.array(LOG_STD_MAX)
 
 @dataclass
 class PolicyDistParams:
-    """Pre-squash diagonal Gaussian for one state."""
+    """Pre-squash diagonal Gaussians, one (batch, act_dim) row per state."""
 
     mu: np.ndarray
     log_std: np.ndarray  # already clamped to [LOG_STD_MIN, LOG_STD_MAX]
@@ -45,27 +45,24 @@ def gaussian_logpdf(y, mean, std):
 
 def softplus(x):
     # log(1 + e^x), overflow-safe
-    return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
+    return np.logaddexp(0.0, x)
 
 
 def value_head_batch(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map raw (..., 2) critic outputs to (Q, sigma) with sigma >= SIGMA_MIN."""
-    raw = np.asarray(raw, dtype=np.float64)
-    return raw[..., 0], softplus(raw[..., 1]) + SIGMA_MIN
+    """Map raw (batch, 2) critic outputs to (Q, sigma) with sigma >= SIGMA_MIN."""
+    return raw[:, 0], softplus(raw[:, 1]) + SIGMA_MIN
 
 
-def value_head_sigma_grad(raw_spread):
+def value_head_sigma_grad(raw_spread: np.ndarray) -> np.ndarray:
     """d sigma / d raw_spread, the softplus derivative (a sigmoid)."""
-    x = np.asarray(raw_spread, dtype=np.float64)
-    return 1.0 / (1.0 + np.exp(-x))
+    return 1.0 / (1.0 + np.exp(-raw_spread))
 
 
 def policy_head(raw_out: np.ndarray) -> PolicyDistParams:
-    """Split a raw 2*act_dim network output into clamped (mu, log_std)."""
-    raw_out = np.asarray(raw_out, dtype=np.float64)
-    d = raw_out.shape[-1] // 2
-    mu = raw_out[..., :d]
-    log_std = raw_out[..., d:].clip(_LOG_STD_LO, _LOG_STD_HI)
+    """Split a raw (batch, 2*act_dim) network output into clamped (mu, log_std)."""
+    d = raw_out.shape[1] // 2
+    mu = raw_out[:, :d]
+    log_std = raw_out[:, d:].clip(_LOG_STD_LO, _LOG_STD_HI)
     return PolicyDistParams(mu, log_std)
 
 
@@ -76,8 +73,7 @@ _A_LO, _A_HI = np.array(-_A_MAX), np.array(_A_MAX)
 def _squashed_logprob(u, mu, std, t):
     """Sum over the last axis of the Gaussian log density at u minus the
     tanh correction log(1 - t^2 + EPS_TANH), given t = tanh(u)."""
-    out = (gaussian_logpdf(u, mu, std) - np.log(_ONE - t * t + _EPS_TANH)).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return (gaussian_logpdf(u, mu, std) - np.log(_ONE - t * t + _EPS_TANH)).sum(axis=-1)
 
 
 def reparameterized_draw(dist: PolicyDistParams, noise: np.ndarray):
@@ -107,7 +103,7 @@ def policy_sample(dist: PolicyDistParams, noise: np.ndarray):
     return a, _squashed_logprob(u, dist.mu, std, t)
 
 
-def policy_logprob(dist: PolicyDistParams, u: np.ndarray) -> float:
+def policy_logprob(dist: PolicyDistParams, u: np.ndarray) -> np.ndarray:
     """Log density of the squashed action a = tanh(u) under the policy.
 
     Sums the per-dimension Gaussian log density at the pre-squash point

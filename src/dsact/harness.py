@@ -30,7 +30,7 @@ from .environments import make_env
 from .harness_util import derived_seed, write_atomic
 from .numerics import NumericalError, adam_step, params_all_finite
 from .oracles import BiasReport, mc_true_q, truth_horizon
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 
 # metrics.csv's header; each eval writes one row of values in this order
 METRICS_COLUMNS = (
@@ -213,7 +213,7 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
             for _ in range(cfg.samples_per_iteration):
                 a, _ = act_stochastic(agent.phi, obs, streams["policy"])
                 obs2, r, done, truncated = env.step(a)
-                buffer.push(Transition(obs, a, r * cfg.reward_scale, obs2, done))
+                buffer.push(obs, a, r * cfg.reward_scale, obs2, done)
                 agent.env_steps += 1
                 if done or truncated:
                     obs = env.reset(int(streams["env"].integers(0, 2**63)))

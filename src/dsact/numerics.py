@@ -13,14 +13,23 @@ and finite checks are single vector passes over the buffer; only
 `ParamSet` has per-layer views (`layers`), because the forward and
 backward passes walk them.
 
+One batch contract holds across `numerics`, `distributions`, `critic`
+and `actor`: inside the engine a batch is a float64 (rows, n) array,
+and nothing there coerces lists, scalars or single vectors into one.
+`mlp_forward` refuses any other rank or width with a ValueError naming
+the (batch, in_dim) shape it expects. `actor.act_stochastic` and
+`actor.act_deterministic` are the one boundary: a single observation
+goes in as a 1-row batch (``obs[None]``) and its row 0 comes back.
+
 A name in `dsact` exists only if engine code, the CLI or the benchmark
 (`perfbench/`) calls it, or if it is a judge the tests hold production
 to: the oracles, `critic._assemble_fixed_boundary_gradient`,
 `gelu`/`gelu_grad` as the named form of the production GELU, and
 `distributions.policy_logprob` as the named form of the log density
 `policy_sample` returns. Tests reach everything else through the
-production API: `.flat`, `.layout`, `Layout.weight_views`/`bias_views`/
-`pack` and `ParamSet.layers`.
+production API: `.flat`, `.layout`, `Layout.weight_views`/`bias_views`
+and `ParamSet.layers`; `tests/conftest.py` builds networks from `Layer`
+lists itself.
 """
 
 from __future__ import annotations
@@ -136,34 +145,17 @@ class Layout:
     def bias_views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[b].reshape(b_shape) for _, _, b, b_shape in self.spans]
 
-    def pack(self, weights, biases) -> np.ndarray:
-        """A fresh flat buffer holding copies of the given arrays."""
-        flat = np.empty(self.size)
-        for view, arr in zip(self.weight_views(flat) + self.bias_views(flat), [*weights, *biases]):
-            view[...] = arr
-        return flat
-
 
 class ParamSet:
     """Ordered affine layers; the unit of ownership for one network.
 
     Every parameter lives in one float64 buffer, ``flat``; each layer's
-    weight and bias are views into it. ``ParamSet(layers)`` copies the
-    given arrays into a new buffer.
+    weight and bias are views into it. ``ParamSet(flat, layout)`` is a
+    network over ``flat`` itself (no copy).
     """
 
-    def __init__(self, layers: list[Layer]):
-        weights = [np.asarray(l.weight, dtype=np.float64) for l in layers]
-        biases = [np.asarray(l.bias, dtype=np.float64) for l in layers]
-        self.layout = Layout((w.shape, b.shape) for w, b in zip(weights, biases, strict=True))
-        self.flat = self.layout.pack(weights, biases)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, layout: Layout) -> "ParamSet":
-        """A network over ``flat`` itself (no copy)."""
-        net = cls.__new__(cls)
-        net.flat, net.layout = flat, layout
-        return net
+    def __init__(self, flat: np.ndarray, layout: Layout):
+        self.flat, self.layout = flat, layout
 
     @cached_property
     def layers(self) -> list[Layer]:
@@ -175,7 +167,7 @@ class ParamSet:
         return {k: v for k, v in self.__dict__.items() if k != "layers"}
 
     def copy(self) -> "ParamSet":
-        return ParamSet.from_flat(self.flat.copy(), self.layout)
+        return ParamSet(self.flat.copy(), self.layout)
 
 
 class GradSet:
@@ -222,35 +214,31 @@ def init_mlp(rng: np.random.Generator, sizes: list[int]) -> ParamSet:
         bound = np.sqrt(1.0 / w.shape[1])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
         b[...] = rng.uniform(-bound, bound, size=b.shape)
-    return ParamSet.from_flat(flat, layout)
+    return ParamSet(flat, layout)
 
 
 class ForwardCache:
     """Activation trace: per-layer inputs and pre-activations, and the
     normal CDF values the GELU derivative reuses (one per GELU layer,
-    that is, every layer but the last); ``single`` marks a one-vector
-    forward."""
+    that is, every layer but the last)."""
 
-    __slots__ = ("inputs", "pre_acts", "cdfs", "single")
+    __slots__ = ("inputs", "pre_acts", "cdfs")
 
-    def __init__(self, single: bool = False):
+    def __init__(self):
         self.inputs: list[np.ndarray] = []
         self.pre_acts: list[np.ndarray] = []
         self.cdfs: list[np.ndarray] = []
-        self.single = single
 
 
 def mlp_forward(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Evaluate the network on one vector or a (batch, in) matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
+    """Evaluate the network on a (batch, in_dim) float64 batch."""
     layers = params.layers
     in_dim = layers[0].weight.shape[1]
-    if h.shape[1] != in_dim:
-        raise ValueError(f"input width {h.shape[1]} does not match network in_dim {in_dim}")
-    cache = ForwardCache(single)
+    if x.ndim != 2 or x.shape[1] != in_dim:
+        raise ValueError(f"mlp_forward takes a (batch, {in_dim}) batch, got shape {x.shape}")
+    cache = ForwardCache()
     inputs, pre_acts, cdfs = cache.inputs, cache.pre_acts, cache.cdfs
+    h = x
     last = len(layers) - 1
     for i, layer in enumerate(layers):
         inputs.append(h)
@@ -261,8 +249,7 @@ def mlp_forward(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, ForwardCac
             cdf = _gelu_cdf(h)
             cdfs.append(cdf)
             h = h * cdf
-    out = h[0] if single else h
-    return out, cache
+    return h, cache
 
 
 def mlp_backward(
@@ -270,20 +257,20 @@ def mlp_backward(
 ) -> tuple[GradSet | None, np.ndarray]:
     """Reverse-mode derivatives of sum_batch <output, output_grad>.
 
-    Returns the parameter gradient and the gradient with respect to the
-    input (same leading shape as the forward input). For batched calls
-    the parameter gradient is the sum over the batch; divide by the
-    batch size for a mean. With ``input_only`` the parameter gradient
+    ``output_grad`` has the forward output's (batch, out_dim) shape.
+    Returns the parameter gradient, summed over the batch (divide by
+    the batch size for a mean), and the (batch, in_dim) gradient with
+    respect to the input. With ``input_only`` the parameter gradient
     is not formed and None stands in its place; the input gradient is
     the same.
     """
     if len(cache.inputs) != len(params.layers):
         raise ValueError("cache does not match network depth")
-    g = np.asarray(output_grad, dtype=np.float64)
-    if cache.single:
-        g = g[None, :]
+    g = output_grad
     if g.shape != cache.pre_acts[-1].shape:
-        raise ValueError("output_grad shape does not match cached forward pass")
+        raise ValueError(
+            f"output_grad shape {g.shape} is not the forward output's {cache.pre_acts[-1].shape}"
+        )
     layout = params.layout
     flat = None if input_only else np.empty(layout.size)
     last = len(params.layers) - 1
@@ -299,8 +286,7 @@ def mlp_backward(
             flat[w] = (g.T @ cache.inputs[i]).ravel()
             flat[b] = g.sum(axis=0)
         g = g @ layer.weight
-    input_grad = g[0] if cache.single else g
-    return (None if flat is None else GradSet(flat, layout)), input_grad
+    return (None if flat is None else GradSet(flat, layout)), g
 
 
 def adam_step(

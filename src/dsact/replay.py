@@ -1,9 +1,9 @@
 """Bounded FIFO experience store with uniform sampling.
 
 Transitions live in one ring array per field. The arrays are allocated
-with `np.empty` on the first push, sized from that transition, and a row
-is written only when a transition lands in it, so an unfilled buffer
-costs address space but no resident memory.
+with `np.empty` on the first push, sized from that push's state and
+action, and a row is written only when a transition lands in it, so an
+unfilled buffer costs address space but no resident memory.
 """
 
 from __future__ import annotations
@@ -11,18 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class Transition:
-    """One environment step; done marks true termination. A time-limit
-    cut is not stored: it still bootstraps, so it is an ordinary row."""
-
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s_next: np.ndarray
-    done: bool
 
 
 @dataclass
@@ -55,9 +43,8 @@ class ReplayBuffer:
     def count(self) -> int:
         return self._count
 
-    def _allocate(self, t: Transition) -> Batch:
+    def _allocate(self, s_shape, a_shape) -> Batch:
         c = self.capacity
-        s_shape, a_shape = np.shape(t.s), np.shape(t.a)
         return Batch(
             s=np.empty((c, *s_shape)),
             a=np.empty((c, *a_shape)),
@@ -66,11 +53,14 @@ class ReplayBuffer:
             done=np.empty(c, dtype=bool),
         )
 
-    def push(self, t: Transition) -> "ReplayBuffer":
+    def push(self, s, a, r: float, s_next, done: bool) -> "ReplayBuffer":
+        """Store one environment step; done marks true termination. A
+        time-limit cut is not stored: it still bootstraps, so it is an
+        ordinary row."""
         rows = self._rows
         if rows is None:
-            rows = self._rows = self._allocate(t)
-        elif np.shape(t.s) != rows.s.shape[1:] or np.shape(t.a) != rows.a.shape[1:]:
+            rows = self._rows = self._allocate(np.shape(s), np.shape(a))
+        elif np.shape(s) != rows.s.shape[1:] or np.shape(a) != rows.a.shape[1:]:
             raise ValueError("transition dimensions do not match buffer contents")
         if self._count < self.capacity:
             i = self._count
@@ -78,11 +68,11 @@ class ReplayBuffer:
         else:
             i = self._cursor
             self._cursor = (self._cursor + 1) % self.capacity
-        rows.s[i] = t.s
-        rows.a[i] = t.a
-        rows.r[i] = t.r
-        rows.s_next[i] = t.s_next
-        rows.done[i] = t.done
+        rows.s[i] = s
+        rows.a[i] = a
+        rows.r[i] = r
+        rows.s_next[i] = s_next
+        rows.done[i] = done
         return self
 
     def sample(self, n: int, rng: np.random.Generator) -> Batch:

@@ -1,12 +1,34 @@
 import numpy as np
 import pytest
 
-from dsact.numerics import GradSet, ParamSet, init_mlp
+from dsact.critic import clip_target
+from dsact.numerics import GradSet, Layout, ParamSet, init_mlp
 
 
 def per_array(flat: np.ndarray, layout) -> list[np.ndarray]:
     """The weight and bias views of a flat buffer, weights first."""
     return layout.weight_views(flat) + layout.bias_views(flat)
+
+
+def pack(layout, weights, biases) -> np.ndarray:
+    """A fresh flat buffer in ``layout`` holding copies of the given arrays."""
+    flat = np.empty(layout.size)
+    for view, arr in zip(per_array(flat, layout), [*weights, *biases]):
+        view[...] = arr
+    return flat
+
+
+def net_from_layers(layers) -> ParamSet:
+    """A network over a fresh buffer holding copies of the `Layer`s' arrays."""
+    weights = [np.asarray(l.weight, dtype=np.float64) for l in layers]
+    biases = [np.asarray(l.bias, dtype=np.float64) for l in layers]
+    layout = Layout((w.shape, b.shape) for w, b in zip(weights, biases, strict=True))
+    return ParamSet(pack(layout, weights, biases), layout)
+
+
+def clip_one(y_z: float, q: float, b: float) -> float:
+    """clip_target on a one-sample batch."""
+    return float(clip_target(np.array([y_z]), np.array([q]), b)[0])
 
 
 def grad_rel_err(got: GradSet, want: GradSet) -> float:

@@ -37,7 +37,7 @@ from dsact.harness_util import derived_seed
 from dsact.numerics import init_mlp, mlp_forward
 from dsact.oracles import finite_diff_grad, numeric_soft_q
 
-from conftest import grad_rel_err
+from conftest import clip_one, grad_rel_err
 from scalar_reference import grad_coeffs_dsact
 
 pytestmark = pytest.mark.acceptance
@@ -217,9 +217,9 @@ def test_criterion_5_kernel_scale_equivariance():
             y_z = float(rng.normal(0, 8))
             b = float(rng.uniform(0.1, 6))
             omega = float(rng.uniform(1e-3, 20))
-            g = grad_coeffs_dsact(y_q, float(clip_target(y_z, q, b)), q, sigma, 0.0)
+            g = grad_coeffs_dsact(y_q, clip_one(y_z, q, b), q, sigma, 0.0)
             gc = grad_coeffs_dsact(
-                c * y_q, float(clip_target(c * y_z, c * q, c * b)), c * q, c * sigma, 0.0
+                c * y_q, clip_one(c * y_z, c * q, c * b), c * q, c * sigma, 0.0
             )
             for base, scaled in ((g.g_q, gc.g_q), (g.g_sigma, gc.g_sigma)):
                 want = c * omega * base

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -105,12 +107,54 @@ def test_constant_critic_shift_invariance():
     assert grad_rel_err(g1, g2) < 1e-9
 
 
-def test_act_deterministic_is_squashed_mode():
+def spy_forward_shapes(monkeypatch) -> list:
+    """The input shape of every mlp_forward call the actor module makes."""
+    shapes = []
+
+    def spy(params, x):
+        shapes.append(x.shape)
+        return mlp_forward(params, x)
+
+    monkeypatch.setattr(actor_module, "mlp_forward", spy)
+    return shapes
+
+
+def test_act_deterministic_is_row_0_of_the_batch_mode(monkeypatch):
+    """One observation's evaluation action is row 0 of tanh(mu) on its
+    1-row batch, bit for bit, from one mlp_forward call of one row."""
     phi, _, states = make_setup(seed=2)
-    a = act_deterministic(phi, states[0])
-    dist = policy_forward(phi, states[0])
-    assert np.allclose(a, np.tanh(dist.mu))
-    assert np.all(np.abs(a) < 1)
+    shapes = spy_forward_shapes(monkeypatch)
+    for obs in states:
+        a = act_deterministic(phi, obs)
+        want = np.tanh(policy_forward(phi, obs[None]).mu)[0]
+        assert a.shape == (2,) and np.array_equal(a, want)
+        assert np.all(np.abs(a) < 1)
+    assert shapes == [(1, 3)] * (2 * len(states))
+
+
+@pytest.mark.parametrize("act_dim", [1, 2])
+def test_act_stochastic_is_row_0_of_the_batch_draw(monkeypatch, act_dim):
+    """With the same draw, one observation's action and log density are
+    row 0 of policy_forward + policy_sample on its 1-row batch, bit for
+    bit, from one mlp_forward call of one row."""
+    phi, _, states = make_setup(seed=6, act_dim=act_dim)
+    shapes = spy_forward_shapes(monkeypatch)
+    for obs in states:
+        a, logp = act_stochastic(phi, obs, np.random.default_rng(5))
+        dist = policy_forward(phi, obs[None])
+        a_rows, logp_rows = policy_sample(dist, np.random.default_rng(5).standard_normal(dist.mu.shape))
+        assert a.shape == (act_dim,) and np.array_equal(a, a_rows[0])
+        assert type(logp) is float and logp == logp_rows[0]
+    assert shapes == [(1, 3)] * (2 * len(states))
+
+
+@pytest.mark.parametrize("act", [act_deterministic, lambda phi, obs: act_stochastic(phi, obs, np.random.default_rng(0))])
+def test_acting_refuses_a_batch(act):
+    """The acting functions take one observation; batches go through
+    policy_forward and policy_sample."""
+    phi, _, states = make_setup(seed=2)
+    with pytest.raises(ValueError, match=re.escape("(batch, 3)")):
+        act(phi, states)
 
 
 def test_act_stochastic_reproducible():
@@ -120,19 +164,17 @@ def test_act_stochastic_reproducible():
     assert np.array_equal(a1, a2) and lp1 == lp2
 
 
-def reference_act_stochastic(phi, obs, rng):
-    """act_stochastic as separate numpy-function steps: the forward with
+def reference_draw(phi, states, rng):
+    """A batch's policy draw as separate numpy-function steps: the forward with
     an out-of-place bias add and GELU CDF, np.clip for the log_std clamp
     and the action box, and a log density that recomputes exp(log_std)
     and tanh(u)."""
-    x = np.asarray(obs, dtype=np.float64)
-    h = x[None, :] if x.ndim == 1 else x
+    h = states
     for i, layer in enumerate(phi.layers):
         z = h @ layer.weight.T + layer.bias
         h = z * (0.5 * (1.0 + erf(z * (1.0 / np.sqrt(2.0))))) if i < len(phi.layers) - 1 else z
-    raw = h[0] if x.ndim == 1 else h
-    d = raw.shape[-1] // 2
-    mu, log_std = raw[..., :d], np.clip(raw[..., d:], LOG_STD_MIN, LOG_STD_MAX)
+    d = h.shape[1] // 2
+    mu, log_std = h[:, :d], np.clip(h[:, d:], LOG_STD_MIN, LOG_STD_MAX)
     u = mu + np.exp(log_std) * rng.standard_normal(mu.shape)
     a_max = np.nextafter(1.0, 0.0)
     a = np.clip(np.tanh(u), -a_max, a_max)
@@ -140,8 +182,7 @@ def reference_act_stochastic(phi, obs, rng):
     zs = (u - mu) / std
     base = -0.5 * zs * zs - np.log(std) - 0.5 * np.log(2.0 * np.pi)
     t = np.tanh(u)
-    logp = np.sum(base - np.log(1.0 - t * t + EPS_TANH), axis=-1)
-    return a, float(logp) if np.ndim(logp) == 0 else logp
+    return a, np.sum(base - np.log(1.0 - t * t + EPS_TANH), axis=-1)
 
 
 @pytest.mark.parametrize(
@@ -149,19 +190,25 @@ def reference_act_stochastic(phi, obs, rng):
     [((256, 256, 256), 1, None), ((256, 256, 256), 1, 128), ((8, 8), 2, None), ((8, 8), 2, 1)],
 )
 @pytest.mark.parametrize("out_scale", [1.0, 60.0, 1000.0])
-def test_act_stochastic_matches_reference_bit_for_bit(hidden, act_dim, n, out_scale):
-    """n=None steps one observation vector at a time, as a rollout does.
-    Scaled output layers drive log_std onto both clamps and |u| past 19."""
+def test_policy_draw_matches_reference_bit_for_bit(hidden, act_dim, n, out_scale):
+    """n=None steps one observation vector at a time through
+    act_stochastic, as a rollout does; an n-row batch goes through
+    policy_forward and policy_sample. Scaled output layers drive log_std
+    onto both clamps and |u| past 19."""
     phi, _, _ = make_setup(seed=4, obs_dim=3, act_dim=act_dim, hidden=hidden)
     phi.layers[-1].weight[:] *= out_scale
     phi.layers[-1].bias[:] *= out_scale
     states = np.random.default_rng(11).standard_normal((n or 16, 3)) * 3.0
-    batches = [states] if n else list(states)
-    for obs in batches:
+    if n:
+        dist = policy_forward(phi, states)
+        a, logp = policy_sample(dist, np.random.default_rng(5).standard_normal(dist.mu.shape))
+        a_ref, logp_ref = reference_draw(phi, states, np.random.default_rng(5))
+        assert np.array_equal(a, a_ref) and np.array_equal(logp, logp_ref)
+        return
+    for obs in states:
         a, logp = act_stochastic(phi, obs, np.random.default_rng(5))
-        a_ref, logp_ref = reference_act_stochastic(phi, obs, np.random.default_rng(5))
-        assert np.array_equal(a, a_ref)
-        assert type(logp) is type(logp_ref) and np.array_equal(logp, logp_ref)
+        a_ref, logp_ref = reference_draw(phi, obs[None], np.random.default_rng(5))
+        assert np.array_equal(a, a_ref[0]) and logp == logp_ref[0]
 
 
 @pytest.mark.parametrize("n", [1, 128])
@@ -201,21 +248,21 @@ def test_actor_draws_the_policy_sample_action(monkeypatch, n):
 def test_temperature_fixed_point():
     temp = Temperature(alpha=0.5, target_entropy=-2.0, lr_alpha=3e-4)
     # logp == target entropy everywhere -> no change
-    out = temperature_update(temp, [2.0, 2.0, 2.0])
+    out = temperature_update(temp, np.array([2.0, 2.0, 2.0]))
     assert out.alpha == temp.alpha
 
 
 def test_temperature_decreases_when_too_random():
     temp = Temperature(alpha=0.5, target_entropy=-1.0, lr_alpha=0.1)
     # entropy estimate -logp = 2 > target -1 -> alpha shrinks
-    out = temperature_update(temp, [-2.0])
+    out = temperature_update(temp, np.array([-2.0]))
     assert out.alpha < temp.alpha
     assert out.alpha == pytest.approx(0.5 - 0.1 * 3.0)
 
 
 def test_temperature_increases_when_too_deterministic():
     temp = Temperature(alpha=0.5, target_entropy=-1.0, lr_alpha=0.1)
-    out = temperature_update(temp, [5.0])  # entropy -5 < target
+    out = temperature_update(temp, np.array([5.0]))  # entropy -5 < target
     assert out.alpha > temp.alpha
 
 
@@ -228,5 +275,5 @@ def test_temperature_default_rate():
 def test_temperature_stays_positive():
     temp = Temperature(alpha=0.01, target_entropy=-1.0, lr_alpha=0.5)
     for _ in range(100):
-        temp = temperature_update(temp, [-10.0])  # strong shrink pressure
+        temp = temperature_update(temp, np.array([-10.0]))  # strong shrink pressure
         assert temp.alpha >= ALPHA_MIN

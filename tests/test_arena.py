@@ -28,7 +28,6 @@ from dsact.numerics import (
     GradSet,
     Layer,
     NumericalError,
-    ParamSet,
     adam_step,
     init_adam,
     init_mlp,
@@ -37,7 +36,7 @@ from dsact.numerics import (
     params_all_finite,
 )
 
-from conftest import params_equal, per_array, random_net
+from conftest import net_from_layers, pack, params_equal, per_array, random_net
 from test_harness import tiny_cfg
 
 
@@ -51,7 +50,7 @@ def ref_is_finite(grads):
 def ref_scale(grads, c):
     layout = grads.layout
     d_weights, d_biases = layout.weight_views(grads.flat), layout.bias_views(grads.flat)
-    return GradSet(layout.pack([c * dw for dw in d_weights], [c * db for db in d_biases]), layout)
+    return GradSet(pack(layout, [c * dw for dw in d_weights], [c * db for db in d_biases]), layout)
 
 
 def ref_adam_step(state, params, grads, lr):
@@ -99,9 +98,7 @@ def ref_soft_update(source, target, tau):
 def ref_mlp_backward(params, cache, output_grad, input_only=False):
     if len(cache.inputs) != len(params.layers):
         raise ValueError("cache does not match network depth")
-    g = np.asarray(output_grad, dtype=np.float64)
-    if cache.single:
-        g = g[None, :]
+    g = output_grad
     if g.shape != cache.pre_acts[-1].shape:
         raise ValueError("output_grad shape does not match cached forward pass")
     d_weights = [None] * len(params.layers)
@@ -115,10 +112,9 @@ def ref_mlp_backward(params, cache, output_grad, input_only=False):
         d_weights[i] = g.T @ cache.inputs[i]
         d_biases[i] = g.sum(axis=0)
         g = g @ layer.weight
-    input_grad = g[0] if cache.single else g
     if input_only:  # the same input gradient, no parameter gradient
-        return None, input_grad
-    return GradSet(params.layout.pack(d_weights, d_biases), params.layout), input_grad
+        return None, g
+    return GradSet(pack(params.layout, d_weights, d_biases), params.layout), g
 
 
 def ref_params_all_finite(params):
@@ -206,8 +202,8 @@ def test_copies_own_their_buffers(rng):
         (lambda rng: init_mlp(rng, [2, 4, 1]), lambda rng: init_mlp(rng, [2, 3, 2])),
         # equal weight shapes, bias (1,) against (1, 1)
         (
-            lambda rng: ParamSet([Layer(np.zeros((1, 2)), np.zeros(1))]),
-            lambda rng: ParamSet([Layer(np.zeros((1, 2)), np.zeros((1, 1)))]),
+            lambda rng: net_from_layers([Layer(np.zeros((1, 2)), np.zeros(1))]),
+            lambda rng: net_from_layers([Layer(np.zeros((1, 2)), np.zeros((1, 1)))]),
         ),
     ],
 )

@@ -21,7 +21,7 @@ from dsact.distributions import policy_head, policy_logprob
 from dsact.numerics import adam_step, init_adam, init_mlp, mlp_forward
 from dsact.replay import Batch
 
-from conftest import params_equal
+from conftest import clip_one, params_equal
 from scalar_reference import compute_targets, grad_coeffs_dsact, select_min_target
 
 
@@ -78,9 +78,8 @@ def test_compute_targets_printed_formula():
 
 
 def test_clip_target_cases():
-    assert clip_target(10.0, 0.0, 3.0) == 3.0
-    assert clip_target(-10.0, 0.0, 3.0) == -3.0
-    assert clip_target(2.0, 0.0, 3.0) == 2.0
+    got = clip_target(np.array([10.0, -10.0, 2.0]), np.zeros(3), 3.0)
+    assert np.array_equal(got, [3.0, -3.0, 2.0])
 
 
 @given(
@@ -90,7 +89,7 @@ def test_clip_target_cases():
 )
 def test_clip_containment(y_z, q, b):
     slack = 1e-12 * max(1.0, abs(q), b)  # rounding of q +- b
-    assert abs(clip_target(y_z, q, b) - q) <= b + slack
+    assert abs(clip_one(y_z, q, b) - q) <= b + slack
 
 
 def test_grad_coeffs_zero_td_error():
@@ -121,9 +120,9 @@ def test_kernel_scale_equivariance(c):
         y_z = float(rng.normal(0, 5))
         b = float(rng.uniform(0.1, 5))
         omega = float(rng.uniform(0.01, 9))
-        g = grad_coeffs_dsact(y_q, float(clip_target(y_z, q, b)), q, sigma, eps=0.0)
+        g = grad_coeffs_dsact(y_q, clip_one(y_z, q, b), q, sigma, eps=0.0)
         g_scaled = grad_coeffs_dsact(
-            c * y_q, float(clip_target(c * y_z, c * q, c * b)), c * q, c * sigma, eps=0.0
+            c * y_q, clip_one(c * y_z, c * q, c * b), c * q, c * sigma, eps=0.0
         )
         prod_q, prod_s = omega * g.g_q, omega * g.g_sigma
         prod_q_c = (c * c * omega) * g_scaled.g_q
@@ -133,19 +132,19 @@ def test_kernel_scale_equivariance(c):
 
 
 def test_update_boundary_scale_direct():
-    b, omega = update_boundary_scale(0.0, 0.0, [2.0, 2.0, 2.0], tau=1.0, xi=3.0)
+    b, omega = update_boundary_scale(0.0, 0.0, np.array([2.0, 2.0, 2.0]), tau=1.0, xi=3.0)
     assert b == 6.0 and omega == 4.0
 
 
 def test_update_boundary_scale_frozen():
-    b, omega = update_boundary_scale(1.5, 0.7, [9.0, 2.0], tau=0.0, xi=3.0)
+    b, omega = update_boundary_scale(1.5, 0.7, np.array([9.0, 2.0]), tau=0.0, xi=3.0)
     assert b == 1.5 and omega == 0.7
 
 
 def test_update_boundary_scale_geometric_convergence():
     b, omega = 10.0, 10.0
     tau, xi = 0.25, 3.0
-    sigma = [2.0] * 4
+    sigma = np.full(4, 2.0)
     b_star, omega_star = 6.0, 4.0
     gap_b, gap_o = b - b_star, omega - omega_star
     for _ in range(20):
@@ -158,7 +157,7 @@ def test_update_boundary_scale_geometric_convergence():
 
 def test_update_boundary_scale_rejects_empty():
     with pytest.raises(ValueError):
-        update_boundary_scale(0.0, 0.0, [], 0.5, 3.0)
+        update_boundary_scale(0.0, 0.0, np.array([]), 0.5, 3.0)
 
 
 @given(
@@ -169,7 +168,7 @@ def test_update_boundary_scale_rejects_empty():
 )
 @settings(max_examples=200)
 def test_boundary_scale_nonnegative(sigmas, tau, b0, omega0):
-    b, omega = update_boundary_scale(b0, omega0, sigmas, tau, 3.0)
+    b, omega = update_boundary_scale(b0, omega0, np.array(sigmas), tau, 3.0)
     assert b >= 0.0 and omega >= 0.0
 
 
@@ -237,9 +236,7 @@ def test_build_targets_matches_scalar_op(rng):
         idx = select_min_target(q_bars[0][j], q_bars[1][j])
         q_next = q_bars[idx - 1][j]
         z_draw = q_next + sig_bars[idx - 1][j] * z_noise_all[j]
-        logp = policy_logprob(
-            policy_head(raw[j]), u[j]
-        )
+        logp = policy_logprob(policy_head(raw[j : j + 1]), u[j : j + 1])[0]
         t = compute_targets(r[j], batch.done[j], q_next, z_draw, logp, alpha, gamma, idx)
         assert y_q[j] == pytest.approx(t.y_q, rel=1e-12, abs=1e-12)
         assert y_z[j] == pytest.approx(t.y_z, rel=1e-12, abs=1e-12)

@@ -518,8 +518,8 @@ class TestAblation:
 
 
 class ListReplay:
-    """Reference buffer: a list of Transition objects, stacked row by
-    row at sample time, with the same slot order and the same draw."""
+    """Reference buffer: a list of (s, a, r, s_next, done) tuples, stacked
+    row by row at sample time, with the same slot order and the same draw."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -531,7 +531,7 @@ class ListReplay:
     def count(self):
         return len(self._storage)
 
-    def push(self, t):
+    def push(self, *t):
         self.pushes += 1
         if len(self._storage) < self.capacity:
             self._storage.append(t)
@@ -542,13 +542,8 @@ class ListReplay:
 
     def sample(self, n, rng):
         rows = [self._storage[i] for i in rng.integers(0, self.count, size=n)]
-        return Batch(
-            s=np.stack([t.s for t in rows]),
-            a=np.stack([t.a for t in rows]),
-            r=np.array([t.r for t in rows]),
-            s_next=np.stack([t.s_next for t in rows]),
-            done=np.array([t.done for t in rows]),
-        )
+        s, a, r, s_next, done = zip(*rows)
+        return Batch(np.stack(s), np.stack(a), np.array(r), np.stack(s_next), np.array(done))
 
 
 @pytest.mark.parametrize("algorithm", ["dsact", "dsacv1"])
@@ -670,6 +665,8 @@ class TestCli:
             # train checkpoints when iteration % interval == 0
             ({"checkpoint_interval": -2}, "checkpoint_interval must be null or >= 1, got -2"),
             ({"checkpoint_interval": 0}, "checkpoint_interval must be null or >= 1, got 0"),
+            # a ring smaller than the warm-up never fills it, so no update would run
+            ({"warm_size": 200, "buffer_capacity": 100}, "warm_size 200 exceeds buffer_capacity 100"),
         ],
     )
     def test_config_error_names_the_key_exit_code(self, tmp_path, capsys, overrides, named):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from dsact.numerics import (
     mlp_backward,
     mlp_forward,
 )
-from dsact.numerics import GradSet, Layer, ParamSet
+from dsact.numerics import GradSet, Layer
 from dsact.oracles import finite_diff_grad
 
-from conftest import grad_rel_err, params_equal, random_net
+from conftest import grad_rel_err, net_from_layers, pack, params_equal, random_net
 
 
 def test_gelu_fixed_points():
@@ -51,14 +53,14 @@ def test_forward_zero_weights_returns_bias(rng):
     net = init_mlp(rng, [3, 4, 2])
     for layer in net.layers:
         layer.weight[:] = 0.0
-    out, _ = mlp_forward(net, np.ones(3))
+    out, _ = mlp_forward(net, np.ones((2, 3)))
     # hidden bias passes through gelu, then the output layer sees zero weights
     assert np.allclose(out, net.layers[-1].bias)
 
 
 def test_forward_identity_layer():
-    net = ParamSet([identity_layer(3)])
-    x = np.array([0.3, -1.2, 2.0])
+    net = net_from_layers([identity_layer(3)])
+    x = np.array([[0.3, -1.2, 2.0]])
     out, _ = mlp_forward(net, x)
     assert np.array_equal(out, x)
 
@@ -68,7 +70,7 @@ def test_gelu_layer_is_gelu_bit_for_bit(rng):
     backpropagates gelu_grad exactly, so the GELU tests above judge the
     engine's formula."""
     x = rng.standard_normal((64, 5)) * 3.0
-    net = ParamSet([identity_layer(5), identity_layer(5)])
+    net = net_from_layers([identity_layer(5), identity_layer(5)])
     out, cache = mlp_forward(net, x)
     assert np.array_equal(out, gelu(x))
     _, input_grad = mlp_backward(net, cache, np.ones_like(x))
@@ -77,22 +79,25 @@ def test_gelu_layer_is_gelu_bit_for_bit(rng):
 
 def test_forward_deterministic(rng):
     net, sizes = random_net(rng)
-    x = rng.standard_normal(sizes[0])
+    x = rng.standard_normal((4, sizes[0]))
     o1, _ = mlp_forward(net, x)
     o2, _ = mlp_forward(net, x)
     assert np.array_equal(o1, o2)
 
 
-def test_forward_dimension_mismatch(rng):
+@pytest.mark.parametrize("shape", [(4,), (3,), (2, 4), (1, 1, 3)])
+def test_forward_dimension_mismatch(rng, shape):
+    """A batch is (batch, in_dim): a single vector, even of the right
+    width, a wrong width and a wrong rank are refused by name."""
     net = init_mlp(rng, [3, 2])
-    with pytest.raises(ValueError):
-        mlp_forward(net, np.zeros(4))
+    with pytest.raises(ValueError, match=re.escape(f"takes a (batch, 3) batch, got shape {shape}")):
+        mlp_forward(net, np.zeros(shape))
 
 
 def test_backward_zero_output_grad(rng):
     net, sizes = random_net(rng)
-    _, cache = mlp_forward(net, rng.standard_normal(sizes[0]))
-    grads, input_grad = mlp_backward(net, cache, np.zeros(sizes[-1]))
+    _, cache = mlp_forward(net, rng.standard_normal((2, sizes[0])))
+    grads, input_grad = mlp_backward(net, cache, np.zeros((2, sizes[-1])))
     assert not grads.flat.any()
     assert np.all(input_grad == 0.0)
 
@@ -102,11 +107,11 @@ def test_backward_matches_finite_differences(rng):
     worst = 0.0
     for _ in range(100):
         net, sizes = random_net(rng)
-        x = rng.standard_normal(sizes[0])
-        og = rng.standard_normal(sizes[-1])
+        x = rng.standard_normal((2, sizes[0]))
+        og = rng.standard_normal((2, sizes[-1]))
         _, cache = mlp_forward(net, x)
         grads, _ = mlp_backward(net, cache, og)
-        fd = finite_diff_grad(lambda p: float(mlp_forward(p, x)[0] @ og), net, 1e-5)
+        fd = finite_diff_grad(lambda p: float(np.sum(mlp_forward(p, x)[0] * og)), net, 1e-5)
         worst = max(worst, grad_rel_err(grads, fd))
     assert worst <= 1e-5
 
@@ -114,11 +119,11 @@ def test_backward_matches_finite_differences(rng):
 def test_backward_stacked_identity_layers_outer_product():
     """eye weights, GELU between: the output layer's weight gradient is
     og x gelu(x), the hidden layer's is (og * gelu_grad(x)) x x."""
-    net = ParamSet([identity_layer(3), identity_layer(3)])
+    net = net_from_layers([identity_layer(3), identity_layer(3)])
     x = np.array([1.0, -2.0, 0.5])
     og = np.array([0.7, 0.1, -1.3])
-    _, cache = mlp_forward(net, x)
-    grads, _ = mlp_backward(net, cache, og)
+    _, cache = mlp_forward(net, x[None])
+    grads, _ = mlp_backward(net, cache, og[None])
     d_weights = net.layout.weight_views(grads.flat)
     assert np.allclose(d_weights[0], np.outer(og * gelu_grad(x), x))
     assert np.allclose(d_weights[1], np.outer(og, gelu(x)))
@@ -132,20 +137,20 @@ def test_backward_batched_equals_sum_of_singles(rng):
     batched, _ = mlp_backward(net, cache, ogs)
     total = GradSet(np.zeros(net.layout.size), net.layout)
     for j in range(5):
-        _, c = mlp_forward(net, xs[j])
-        g, _ = mlp_backward(net, c, ogs[j])
+        _, c = mlp_forward(net, xs[j : j + 1])
+        g, _ = mlp_backward(net, c, ogs[j : j + 1])
         total = GradSet(total.flat + g.flat, total.layout)
     assert grad_rel_err(batched, total) < 1e-12
 
 
-@pytest.mark.parametrize("batch", [None, 1, 128])
+@pytest.mark.parametrize("batch", [1, 128])
 def test_input_only_backward_is_the_full_input_gradient(rng, batch):
     """input_only forms no parameter gradient and the same input
-    gradient, bit for bit, for one vector, batch 1 and batch 128."""
+    gradient, bit for bit, for batch 1 and batch 128."""
     for _ in range(10):
         net, sizes = random_net(rng, max_units=64)
-        x = rng.standard_normal(sizes[0] if batch is None else (batch, sizes[0]))
-        og = rng.standard_normal(sizes[-1] if batch is None else (batch, sizes[-1]))
+        x = rng.standard_normal((batch, sizes[0]))
+        og = rng.standard_normal((batch, sizes[-1]))
         _, cache = mlp_forward(net, x)
         _, full = mlp_backward(net, cache, og)
         none, only = mlp_backward(net, cache, og, input_only=True)
@@ -156,9 +161,19 @@ def test_input_only_backward_is_the_full_input_gradient(rng, batch):
 def test_backward_rejects_mismatched_cache(rng):
     net = init_mlp(rng, [3, 4, 2])
     other = init_mlp(rng, [3, 4, 4, 2])
-    _, cache = mlp_forward(net, np.zeros(3))
+    _, cache = mlp_forward(net, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        mlp_backward(other, cache, np.zeros(2))
+        mlp_backward(other, cache, np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("shape", [(2,), (5, 3), (4, 2), (1, 5, 2)])
+def test_backward_rejects_wrong_output_grad_shape(rng, shape):
+    """The output gradient has the forward output's (batch, out_dim)
+    shape; any other is refused with the shape it should have."""
+    net = init_mlp(rng, [3, 4, 2])
+    _, cache = mlp_forward(net, np.zeros((5, 3)))
+    with pytest.raises(ValueError, match=re.escape(f"output_grad shape {shape} is not the forward output's (5, 2)")):
+        mlp_backward(net, cache, np.zeros(shape))
 
 
 def test_adam_zero_gradient_fixed_point(rng):
@@ -172,9 +187,9 @@ def test_adam_zero_gradient_fixed_point(rng):
 
 
 def test_adam_first_step_magnitude_near_lr():
-    net = ParamSet([Layer(np.array([[2.0]]), np.array([0.0]))])
+    net = net_from_layers([Layer(np.array([[2.0]]), np.array([0.0]))])
     state = init_adam(net)
-    g = GradSet(net.layout.pack([[[0.3]]], [[0.0]]), net.layout)
+    g = GradSet(pack(net.layout, [[[0.3]]], [[0.0]]), net.layout)
     lr = 1e-2
     adam_step(state, net, g, lr)
     step_size = abs(2.0 - net.layers[0].weight[0, 0])
@@ -198,9 +213,9 @@ def test_adam_learning_rate_passthrough():
     cfg = RunConfig()
     assert cfg.lr_critic == 1e-4
     assert cfg.lr_actor == 1e-4
-    net = ParamSet([Layer(np.array([[0.0]]), np.array([0.0]))])
+    net = net_from_layers([Layer(np.array([[0.0]]), np.array([0.0]))])
     state = init_adam(net)
-    g = GradSet(net.layout.pack([[[1.0]]], [[0.0]]), net.layout)
+    g = GradSet(pack(net.layout, [[[1.0]]], [[0.0]]), net.layout)
     adam_step(state, net, g, cfg.lr_critic)
     assert abs(abs(net.layers[0].weight[0, 0]) - cfg.lr_critic) < 1e-9
 

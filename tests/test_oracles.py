@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsact.environments import BanditChainEnv, ChainSpec
-from dsact.numerics import Layer, ParamSet, init_mlp, mlp_forward
+from dsact.numerics import Layer, init_mlp, mlp_forward
 from dsact.oracles import (
     BiasReport,
     finite_diff_grad,
@@ -10,6 +10,8 @@ from dsact.oracles import (
     numeric_soft_q,
     truth_horizon,
 )
+
+from conftest import net_from_layers
 
 
 class ConstRewardEnv:
@@ -45,7 +47,7 @@ def test_truth_horizon():
 
 
 def test_finite_diff_linear_exact():
-    net = ParamSet([Layer(np.array([[1.0, 2.0]]), np.array([0.5]))])
+    net = net_from_layers([Layer(np.array([[1.0, 2.0]]), np.array([0.5]))])
     coeffs = np.array([3.0, -4.0])
 
     def fn(p):
@@ -58,7 +60,7 @@ def test_finite_diff_linear_exact():
 
 
 def test_finite_diff_quadratic():
-    net = ParamSet([Layer(np.array([[3.0]]), np.array([0.0]))])
+    net = net_from_layers([Layer(np.array([[3.0]]), np.array([0.0]))])
 
     def fn(p):
         return float(p.layers[0].weight[0, 0] ** 2)

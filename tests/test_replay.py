@@ -4,30 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dsact.replay import ReplayBuffer, Transition
+from dsact.replay import ReplayBuffer
 
 
-def tr(tag: float, dim=2, done=False) -> Transition:
-    return Transition(
-        s=np.full(dim, tag),
-        a=np.array([tag]),
-        r=float(tag),
-        s_next=np.full(dim, tag + 0.5),
-        done=done,
-    )
+def tr(tag: float, dim=2, done=False) -> tuple:
+    """One step's (s, a, r, s_next, done), each field tagged."""
+    return np.full(dim, tag), np.array([tag]), float(tag), np.full(dim, tag + 0.5), done
 
 
 def test_push_counts():
     buf = ReplayBuffer(capacity=10)
     assert buf.count == 0
-    buf.push(tr(1))
+    buf.push(*tr(1))
     assert buf.count == 1
 
 
 def test_fifo_eviction():
     buf = ReplayBuffer(capacity=2)
     for k in (1, 2, 3):
-        buf.push(tr(k))
+        buf.push(*tr(k))
     held = buf.contents()
     assert sorted(held.r) == [2.0, 3.0]
     assert buf.count == 2
@@ -40,13 +35,12 @@ def test_fifo_eviction():
 
 def test_push_rejects_mismatched_dims():
     buf = ReplayBuffer(capacity=4)
-    buf.push(tr(1, dim=2))
+    buf.push(*tr(1, dim=2))
     with pytest.raises(ValueError):
-        buf.push(tr(2, dim=3))
-    bad_action = tr(3)
-    bad_action.a = np.array([3.0, 3.0])
+        buf.push(*tr(2, dim=3))
+    s, _, r, s_next, done = tr(3)
     with pytest.raises(ValueError):
-        buf.push(bad_action)
+        buf.push(s, np.array([3.0, 3.0]), r, s_next, done)
     assert buf.count == 1
 
 
@@ -60,7 +54,7 @@ def test_default_warm_size():
 
 def test_sample_degenerate_uniform():
     buf = ReplayBuffer(capacity=4)
-    buf.push(tr(7))
+    buf.push(*tr(7))
     out = buf.sample(3, np.random.default_rng(0))
     assert len(out) == 3
     assert np.all(out.r == 7.0)
@@ -70,7 +64,7 @@ def test_sample_refuses_empty():
     buf = ReplayBuffer(capacity=4)
     with pytest.raises(ValueError):
         buf.sample(1, np.random.default_rng(0))
-    buf.push(tr(1))
+    buf.push(*tr(1))
     with pytest.raises(ValueError):
         buf.sample(0, np.random.default_rng(0))
 
@@ -78,7 +72,7 @@ def test_sample_refuses_empty():
 def test_sample_deterministic_by_seed():
     buf = ReplayBuffer(capacity=32)
     for k in range(32):
-        buf.push(tr(k))
+        buf.push(*tr(k))
     a = buf.sample(16, np.random.default_rng(5))
     b = buf.sample(16, np.random.default_rng(5))
     for field in ("s", "a", "r", "s_next", "done"):
@@ -88,7 +82,7 @@ def test_sample_deterministic_by_seed():
 def test_sample_arrays_contiguous_float64():
     buf = ReplayBuffer(capacity=8)
     for k in range(5):
-        buf.push(tr(k, dim=3, done=k == 2))
+        buf.push(*tr(k, dim=3, done=k == 2))
     out = buf.sample(6, np.random.default_rng(1))
     shapes = {"s": (6, 3), "a": (6, 1), "r": (6,), "s_next": (6, 3), "done": (6,)}
     for field, shape in shapes.items():
@@ -108,13 +102,11 @@ def test_sample_is_the_fancy_index_gather(pushes):
     gen = np.random.default_rng(3)
     for k in range(pushes):
         buf.push(
-            Transition(
-                s=gen.standard_normal(3),
-                a=gen.uniform(-1.0, 1.0, 2),
-                r=float(gen.standard_normal()),
-                s_next=gen.standard_normal(3),
-                done=k % 3 == 0,
-            )
+            gen.standard_normal(3),
+            gen.uniform(-1.0, 1.0, 2),
+            float(gen.standard_normal()),
+            gen.standard_normal(3),
+            k % 3 == 0,
         )
     rows = buf.contents()
     for n in (1, 7, 64):
@@ -130,7 +122,7 @@ def test_sample_is_the_fancy_index_gather(pushes):
 def test_sample_consumes_one_integers_draw():
     buf = ReplayBuffer(capacity=16)
     for k in range(11):
-        buf.push(tr(k))
+        buf.push(*tr(k))
     rng, twin = np.random.default_rng(9), np.random.default_rng(9)
     out = buf.sample(7, rng)
     idx = twin.integers(0, 11, size=7)
@@ -142,7 +134,7 @@ def test_sample_consumes_one_integers_draw():
 def test_sample_frequency_uniform():
     buf = ReplayBuffer(capacity=10)
     for k in range(10):
-        buf.push(tr(k))
+        buf.push(*tr(k))
     rng = np.random.default_rng(42)
     n = 1_000_000
     counts = np.zeros(10)
@@ -164,7 +156,7 @@ def test_fifo_matches_reference_model(ops, cap):
     buf = ReplayBuffer(capacity=cap)
     model: list[float] = []
     for k in ops:
-        buf.push(tr(float(k)))
+        buf.push(*tr(float(k)))
         model.append(float(k))
         if len(model) > cap:
             model.pop(0)
