@@ -7,7 +7,7 @@ non-distributional baselines, desk-scale environments, oracle checks
 and a training CLI.
 """
 
-from .actor import Temperature, actor_gradient, temperature_update
+from .actor import actor_gradient, temperature_update
 from .baselines import build_variant
 from .config import ConfigError, RunConfig, load_config
 from .critic import (
@@ -27,7 +27,7 @@ from .distributions import (
 )
 from .environments import make_env
 from .harness import evaluate, measure_bias, run_ablation, train
-from .numerics import AdamState, GradSet, NumericalError, ParamSet, adam_step, gelu, mlp_backward, mlp_forward
+from .numerics import AdamState, NumericalError, ParamSet, adam_step, gelu, mlp_backward, mlp_forward
 from .oracles import BiasReport, finite_diff_grad, mc_true_q, numeric_soft_q
 from .replay import Batch, ReplayBuffer
 

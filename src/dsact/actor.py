@@ -1,15 +1,14 @@
 """Policy improvement and temperature adaptation.
 
-The actor ascends the batch mean of min-critic Q at a reparameterized
-action minus the temperature-weighted log-probability; the gradient is
-assembled analytically by chaining through the squash, the critic's
-action input, and the policy trunk. The temperature follows a plain
-gradient step toward the target entropy with a positivity floor.
+The actor descends the loss: the batch mean of the temperature-weighted
+log-probability minus min-critic Q at a reparameterized action; the
+gradient is assembled analytically by chaining through the squash, the
+critic's action input, and the policy trunk. The temperature alpha is
+one float that follows a plain gradient step toward the target entropy
+with a positivity floor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,16 +22,9 @@ from .distributions import (
     policy_sample,
     reparameterized_draw,
 )
-from .numerics import GradSet, NumericalError, ParamSet, mlp_backward, mlp_forward
+from .numerics import NumericalError, ParamSet, mlp_backward, mlp_forward
 
 ALPHA_MIN = 1e-6
-
-
-@dataclass
-class Temperature:
-    alpha: float
-    target_entropy: float
-    lr_alpha: float
 
 
 def actor_sizes(obs_dim: int, act_dim: int, hidden) -> list[int]:
@@ -66,8 +58,10 @@ def actor_gradient(
     alpha: float,
     rng: np.random.Generator,
     active: tuple[int, ...] = (0, 1),
-) -> GradSet:
-    """Ascent gradient of mean[min_i Q_i(s, a(phi)) - alpha * log pi(a|s)].
+) -> np.ndarray:
+    """Gradient of the actor loss mean[alpha * log pi(a|s) - min_i Q_i(s, a(phi))],
+    the negated objective, as a flat array in phi's layout; Adam steps
+    along it as it is.
 
     One fresh reparameterization draw per state; critic parameters are
     constants, but the gradient flows through the action into the
@@ -117,11 +111,13 @@ def actor_gradient(
     g_ls *= zeta
     g_ls += alpha
     g_ls *= in_range
-    out_grad_pi = np.empty((n, 2 * d))  # [g_mu, g_ls] / n
-    np.divide(g_u, n, out=out_grad_pi[:, :d])
-    np.divide(g_ls, n, out=out_grad_pi[:, d:])
+    # [g_mu, g_ls] / -n: the loss is the negated objective, and IEEE
+    # negation is exact, so this is the ascent direction negated bit for bit
+    out_grad_pi = np.empty((n, 2 * d))
+    np.divide(g_u, -n, out=out_grad_pi[:, :d])
+    np.divide(g_ls, -n, out=out_grad_pi[:, d:])
     grads, _ = mlp_backward(phi, cache_pi, out_grad_pi)
-    if not grads.is_finite():
+    if not np.isfinite(grads).all():
         raise NumericalError(
             f"non-finite actor gradient (alpha={alpha:.3g}, "
             f"q range [{np.min(q_vals):.3g}, {np.max(q_vals):.3g}])"
@@ -129,8 +125,8 @@ def actor_gradient(
     return grads
 
 
-def temperature_update(temp: Temperature, logp_batch: np.ndarray) -> Temperature:
-    """Move alpha toward the target entropy; floors keep it positive."""
-    grad = float(np.mean(-logp_batch - temp.target_entropy))
-    alpha_new = max(ALPHA_MIN, temp.alpha - temp.lr_alpha * grad)
-    return replace(temp, alpha=alpha_new)
+def temperature_update(alpha: float, logp: np.ndarray, target_entropy: float, lr_alpha: float) -> float:
+    """Move alpha toward the target entropy, given a batch of log
+    densities; floors keep it positive."""
+    grad = float(np.mean(-logp - target_entropy))
+    return max(ALPHA_MIN, alpha - lr_alpha * grad)

@@ -2,25 +2,26 @@
 
 A checkpoint (format 2) is one uncompressed zip in ``.npz`` form. Its
 first member, ``header.json``, is UTF-8 JSON holding state only: the
-config echo, the env block (name, obs_dim, act_dim), the counters, the
-temperature alpha, each critic's b / omega / stats flag and the Adam
-step counts; the counters and Adam steps load only from JSON integers
-and the stats flags only from JSON booleans. Every other member is one
-float64 ``.npy`` vector: a network's flat parameter buffer (``actor``,
-``actor_target``, ``critic1``, ``critic2``, ``critic1_target``,
-``critic2_target``) or an Adam moment buffer (``adam.<network>.m`` /
-``.v`` for ``actor``, ``critic1`` and ``critic2``). Raw float64 keeps
-round trips bit-exact, and the fixed member order and zip timestamps
-make a re-save of a loaded agent byte-identical.
+config echo, the env block (name, obs_dim, act_dim), the iteration, the
+temperature alpha, each critic's b and omega, and the Adam step counts;
+the iteration and Adam steps load only from JSON integers. Every other
+member is one float64 ``.npy`` vector: a network's flat parameter
+buffer (``actor``, ``actor_target``, ``critic1``, ``critic2``,
+``critic1_target``, ``critic2_target``) or an Adam moment buffer
+(``adam.<network>.m`` / ``.v`` for ``actor``, ``critic1`` and
+``critic2``). Raw float64 keeps round trips bit-exact, and the fixed
+member order and zip timestamps make a re-save of a loaded agent
+byte-identical.
 
-Nothing else is stored because the loader derives it as `build_agent`
-does: each network's layout from the config echo's hidden sizes and the
-env block's dims (`actor_sizes`, `critic_sizes`; GELU on every layer but
-the last), and the target entropy from the config echo and act_dim. An
-echo that contradicts the buffers fails the buffer length check. Keys a
-header does not need, such as the ``networks`` and ``target_entropy``
-blocks earlier writers stored, are ignored. JSON (format 1) checkpoints
-are refused.
+Nothing else is stored because it follows from what is: each network's
+layout from the config echo's hidden sizes and the env block's dims
+(`actor_sizes`, `critic_sizes`; GELU on every layer but the last), as
+`build_agent` does; the env step count from the iteration; whether a
+critic's b and omega have been seeded from its Adam step count. An echo
+that contradicts the buffers fails the buffer length check. Keys a
+header does not need, such as the network shapes, the target entropy,
+the env step count and the per-critic stats flags earlier writers
+stored, are ignored. JSON (format 1) checkpoints are refused.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .actor import Temperature, actor_sizes
+from .actor import actor_sizes
 from .config import ConfigError, RunConfig, config_from_dict
 from .critic import CriticPairState, critic_sizes, init_critic_pair
 from .environments import EnvSpec
 from .harness_util import write_atomic
-from .numerics import AdamState, Layout, ParamSet, init_adam, init_mlp
+from .numerics import AdamState, Layout, ParamSet, init_mlp
 
 CHECKPOINT_FORMAT_VERSION = 2
 HEADER = "header.json"
@@ -54,13 +55,8 @@ class AgentState:
     phi_bar: ParamSet
     adam_actor: AdamState
     critics: CriticPairState
-    temperature: Temperature
+    alpha: float
     iteration: int = 0
-    env_steps: int = 0
-
-
-def _target_entropy(cfg: RunConfig, act_dim: int) -> float:
-    return -float(act_dim) if cfg.target_entropy is None else cfg.target_entropy
 
 
 def build_agent(cfg: RunConfig, env_spec: EnvSpec, rngs: dict) -> AgentState:
@@ -75,9 +71,9 @@ def build_agent(cfg: RunConfig, env_spec: EnvSpec, rngs: dict) -> AgentState:
     return AgentState(
         phi=phi,
         phi_bar=phi.copy(),
-        adam_actor=init_adam(phi),
+        adam_actor=AdamState(np.zeros(phi.flat.shape), np.zeros(phi.flat.shape)),
         critics=critics,
-        temperature=Temperature(cfg.alpha_init, _target_entropy(cfg, env_spec.act_dim), cfg.lr_alpha),
+        alpha=float(cfg.alpha_init),  # as the loader reads it, so a re-save keeps the bytes
     )
 
 
@@ -99,11 +95,9 @@ def save_checkpoint(path: str | Path, agent: AgentState, cfg: RunConfig, env_spe
             "act_dim": env_spec.act_dim,
         },
         "iteration": agent.iteration,
-        "env_steps": agent.env_steps,
-        "alpha": agent.temperature.alpha,
+        "alpha": agent.alpha,
         "b": list(critics.b),
         "omega": list(critics.omega),
-        "stats_initialized": list(critics.stats_initialized),
         "adam_steps": {name: state.step for name, state in adams.items()},
     }
     buffers = {name: net.flat for name, net in zip(NETWORKS, nets, strict=True)}
@@ -146,7 +140,7 @@ def _number(doc: dict, *path: str) -> float:
 
 
 def _count(doc: dict, *path: str) -> int:
-    """A counter or Adam step: a non-negative JSON integer, never truncated."""
+    """The iteration or an Adam step: a non-negative JSON integer, never truncated."""
     value = _field(doc, *path)
     if type(value) is not int or value < 0:
         raise ConfigError(f"checkpoint {_where(path)} must be a non-negative integer, got {value!r}")
@@ -161,14 +155,12 @@ def _dim(header: dict, key: str) -> int:
     return value
 
 
-def _pair(doc: dict, key: str, kind) -> list:
-    """One value per critic: two numbers, as floats, for ``float``; two
-    JSON booleans for ``bool``."""
+def _pair(doc: dict, key: str) -> list[float]:
+    """One number per critic, as floats."""
     values = _field(doc, key)
-    valid, what = (_is_number, "numbers") if kind is float else ((lambda v: type(v) is bool), "booleans")
-    if not isinstance(values, list) or len(values) != 2 or not all(map(valid, values)):
-        raise ConfigError(f"checkpoint {_where([key])} must be 2 {what}, got {values!r}")
-    return [kind(v) for v in values]
+    if not isinstance(values, list) or len(values) != 2 or not all(map(_is_number, values)):
+        raise ConfigError(f"checkpoint {_where([key])} must be 2 numbers, got {values!r}")
+    return [float(v) for v in values]
 
 
 def _buffer(npz, path: Path, name: str, layout: Layout) -> np.ndarray:
@@ -229,10 +221,9 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
             actor = Layout.chain(actor_sizes(obs_dim, act_dim, cfg.hidden_actor))
             critic = Layout.chain(critic_sizes(obs_dim, act_dim, cfg.hidden_critic))
             adam_steps = {name: _count(header, "adam_steps", name) for name in ADAM_NETWORKS}
-            b, omega = _pair(header, "b", float), _pair(header, "omega", float)
-            stats_initialized = _pair(header, "stats_initialized", bool)
-            temperature = Temperature(_number(header, "alpha"), _target_entropy(cfg, act_dim), cfg.lr_alpha)
-            counters = {key: _count(header, key) for key in ("iteration", "env_steps")}
+            b, omega = _pair(header, "b"), _pair(header, "omega")
+            alpha = _number(header, "alpha")
+            iteration = _count(header, "iteration")
         except ConfigError as exc:
             raise ConfigError(f"{exc} ({path}, member {HEADER!r})") from exc
 
@@ -243,8 +234,8 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
         adams = {}
         for name in ADAM_NETWORKS:
             # the moments are the loaded buffers themselves, not copies
-            state = adams[name] = AdamState(nets[name].layout, step=adam_steps[name])
-            state.m, state.v = (_buffer(npz, path, f"adam.{name}.{k}", state.layout) for k in "mv")
+            m, v = (_buffer(npz, path, f"adam.{name}.{k}", nets[name].layout) for k in "mv")
+            adams[name] = AdamState(m, v, adam_steps[name])
 
     critics = CriticPairState(
         theta=(nets["critic1"], nets["critic2"]),
@@ -252,14 +243,13 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
         adam=(adams["critic1"], adams["critic2"]),
         b=b,
         omega=omega,
-        stats_initialized=stats_initialized,
     )
     agent = AgentState(
         phi=nets["actor"],
         phi_bar=nets["actor_target"],
         adam_actor=adams["actor"],
         critics=critics,
-        temperature=temperature,
-        **counters,
+        alpha=alpha,
+        iteration=iteration,
     )
     return agent, header

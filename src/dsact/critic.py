@@ -17,17 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import policy_head, policy_sample, value_head_batch, value_head_sigma_grad
-from .numerics import (
-    AdamState,
-    GradSet,
-    NumericalError,
-    ParamSet,
-    adam_step,
-    init_adam,
-    init_mlp,
-    mlp_backward,
-    mlp_forward,
-)
+from .numerics import AdamState, NumericalError, ParamSet, adam_step, init_mlp, mlp_backward, mlp_forward
 
 SIGMA_FLOOR_V1 = 1e-8
 
@@ -41,7 +31,6 @@ class CriticPairState:
     adam: tuple[AdamState, AdamState]
     b: list[float]
     omega: list[float]
-    stats_initialized: list[bool]
 
 
 @dataclass(frozen=True)
@@ -83,10 +72,9 @@ def init_critic_pair(
     return CriticPairState(
         theta=nets,
         theta_bar=tuple(n.copy() for n in nets),
-        adam=tuple(init_adam(n) for n in nets),
+        adam=tuple(AdamState(np.zeros(n.flat.shape), np.zeros(n.flat.shape)) for n in nets),
         b=[0.0, 0.0],
         omega=[0.0, 0.0],
-        stats_initialized=[False, False],
     )
 
 
@@ -215,7 +203,7 @@ def assemble_critic_gradient(
     y_z: np.ndarray,
     b: float,
     eps: float,
-) -> tuple[GradSet, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch-mean parameter gradient of the two-coefficient kernel.
 
     The random target is clipped against this critic's current means
@@ -290,7 +278,7 @@ def critic_update(
             grads, q, sigma = assemble_critic_gradient(
                 state.theta[i], s, a, mean_target, y_z, state.b[i], cfg.eps
             )
-            grads = grads.scale(state.omega[i] + cfg.eps_omega)
+            grads *= state.omega[i] + cfg.eps_omega
         else:
             grads, q, sigma = assemble_critic_gradient(
                 state.theta[i], s, a, mean_target, y_z, spec.fixed_b, 0.0
@@ -305,9 +293,9 @@ def critic_update(
                 f"target range [{np.min(y_q):.3g}, {np.max(y_q):.3g}])"
             ) from exc
         if adaptive:
-            tau_stats = 1.0 if not state.stats_initialized[i] else cfg.tau
+            # the first refresh, right after a critic's first Adam step, seeds b and omega
+            tau_stats = 1.0 if state.adam[i].step == 1 else cfg.tau
             state.b[i], state.omega[i] = update_boundary_scale(
                 state.b[i], state.omega[i], sigma, tau_stats, cfg.xi
             )
-            state.stats_initialized[i] = True
     return state

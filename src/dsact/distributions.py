@@ -20,7 +20,7 @@ EPS_TANH = 1e-6
 # The per-draw arithmetic meets 0-d float64 arrays, not Python floats:
 # numpy converts a Python float operand anew on every ufunc call, which
 # adds about half again to each op on a batch-1 draw. Same floats.
-_ZERO, _MINUS_HALF, _ONE = np.array(0.0), np.array(-0.5), np.array(1.0)
+_MINUS_HALF, _ONE = np.array(-0.5), np.array(1.0)
 _HALF_LOG_2PI = np.array(0.5 * np.log(2.0 * np.pi))
 _EPS_TANH = np.array(EPS_TANH)
 _LOG_STD_LO, _LOG_STD_HI = np.array(LOG_STD_MIN), np.array(LOG_STD_MAX)
@@ -35,11 +35,11 @@ class PolicyDistParams:
 
 
 def gaussian_logpdf(y, mean, std):
-    """Log density of N(mean, std^2) at y; std must be positive."""
-    std = np.asarray(std, dtype=np.float64)
-    if (std <= _ZERO).any():
-        raise ValueError("std must be > 0")
-    z = (np.asarray(y, dtype=np.float64) - mean) / std
+    """Log density of N(mean, std^2) at y, for float64 arrays or floats.
+
+    std is not checked: the one engine caller passes std = exp(log_std)
+    with log_std >= LOG_STD_MIN, so std >= e^-20 > 0 always."""
+    z = (y - mean) / std
     return _MINUS_HALF * z * z - np.log(std) - _HALF_LOG_2PI
 
 

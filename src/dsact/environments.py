@@ -4,7 +4,9 @@ Three tasks: pendulum swing-up, a point robot tracking a straight path
 while an obstacle crosses it, and a three-state noisy bandit chain whose
 soft values the oracle module can compute exactly. All constants are
 implementation fixtures and are echoed into run summaries through
-``fixture_constants``.
+``fixture_constants``. ``reset(seed)`` then ``set_state(state)``, with
+a state as ``get_state`` returns it, places an env at a given state at
+step 0; ``clone()`` is a fresh env with the same constants.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class PendulumEnv:
         self.thdot = 0.0
         self.steps = 0
 
-    def clone(self, **overrides) -> "PendulumEnv":
-        return PendulumEnv(overrides.get("max_episode_steps", self.spec.max_episode_steps))
+    def clone(self) -> "PendulumEnv":
+        return PendulumEnv(self.spec.max_episode_steps)
 
     def fixture_constants(self) -> dict:
         return {
@@ -67,12 +69,6 @@ class PendulumEnv:
         rng = np.random.default_rng(seed)
         self.th = float(rng.uniform(-np.pi, np.pi))
         self.thdot = float(rng.uniform(-1.0, 1.0))
-        self.steps = 0
-        return self._obs()
-
-    def force_state(self, th: float, thdot: float) -> np.ndarray:
-        self.th = float(th)
-        self.thdot = float(thdot)
         self.steps = 0
         return self._obs()
 
@@ -139,8 +135,8 @@ class PointRobotEnv:
         self.ox = self.oy = self.ovx = self.ovy = 0.0
         self.steps = 0
 
-    def clone(self, **overrides) -> "PointRobotEnv":
-        return PointRobotEnv(overrides.get("max_episode_steps", self.spec.max_episode_steps))
+    def clone(self) -> "PointRobotEnv":
+        return PointRobotEnv(self.spec.max_episode_steps)
 
     def fixture_constants(self) -> dict:
         return {
@@ -177,11 +173,6 @@ class PointRobotEnv:
         (self.x, self.y, self.psi, self.v, self.om, self.ox, self.oy, self.ovx, self.ovy) = (
             float(s) for s in state
         )
-
-    def force_state(self, *state) -> np.ndarray:
-        self.set_state(state)
-        self.steps = 0
-        return self._obs()
 
     def _obs(self) -> np.ndarray:
         return np.array(
@@ -272,11 +263,8 @@ class BanditChainEnv:
         self.steps = 0
         self._rng = np.random.default_rng(0)
 
-    def clone(self, **overrides) -> "BanditChainEnv":
-        return BanditChainEnv(
-            noise_std=overrides.get("noise_std", self.chain.noise_std),
-            max_episode_steps=overrides.get("max_episode_steps", self.spec.max_episode_steps),
-        )
+    def clone(self) -> "BanditChainEnv":
+        return BanditChainEnv(self.chain.noise_std, self.spec.max_episode_steps)
 
     def fixture_constants(self) -> dict:
         return {
@@ -296,11 +284,6 @@ class BanditChainEnv:
 
     def set_state(self, state) -> None:
         self.state = int(state)
-
-    def force_state(self, state: int) -> np.ndarray:
-        self.state = int(state)
-        self.steps = 0
-        return self._obs()
 
     def _obs(self) -> np.ndarray:
         obs = np.zeros(3)

@@ -120,14 +120,13 @@ def _check_counts(seed: int, **counts: int) -> None:
             raise ConfigError(f"{name} must be >= 1, got {n}")
 
 
-def _load_with_env(checkpoint: str | Path, env):
-    """(agent, config echo, env) for a stored agent. The env is built from
-    the config echo when none is given; a given env whose dims differ from
-    the checkpoint's is a ConfigError naming both."""
+def _load_with_env(checkpoint: str | Path):
+    """(agent, config echo, env) for a stored agent, with the env built
+    from the config echo. An env whose dims differ from the header's env
+    block is a ConfigError naming both."""
     agent, header = load_checkpoint(checkpoint)
     cfg = config_from_dict(header["config"])
-    if env is None:
-        env = make_env(cfg.env, cfg.env_overrides)
+    env = make_env(cfg.env, cfg.env_overrides)
     stored = (header["env"]["obs_dim"], header["env"]["act_dim"])
     if (env.spec.obs_dim, env.spec.act_dim) != stored:
         raise ConfigError(
@@ -137,11 +136,10 @@ def _load_with_env(checkpoint: str | Path, env):
     return agent, cfg, env
 
 
-def evaluate(checkpoint: str | Path, env=None, episodes: int = 10, deterministic: bool = True, seed: int = 0):
-    """Evaluate a stored policy; builds the env from the checkpoint's
-    config echo when none is given."""
+def evaluate(checkpoint: str | Path, episodes: int = 10, deterministic: bool = True, seed: int = 0):
+    """Evaluate a stored policy in the env its config echo names."""
     _check_counts(seed, episodes=episodes)
-    agent, _, env = _load_with_env(checkpoint, env)
+    agent, _, env = _load_with_env(checkpoint)
     return evaluate_policy(
         agent.phi, env, episodes, deterministic, seed_parts=(seed, _EVAL_TAG)
     )
@@ -197,14 +195,14 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
     update_step = build_variant(spec)
     active = spec.active_critics
     buffer = ReplayBuffer(cfg.buffer_capacity)
+    target_entropy = -float(env.spec.act_dim) if cfg.target_entropy is None else cfg.target_entropy
+    # every update steps critic 1's Adam, and every actor update the actor's
+    critic_adam, actor_adam = agent.critics.adam[0], agent.adam_actor
 
     save_checkpoint(out / "checkpoint_0.npz", agent, cfg, env.spec)
     curve: list[tuple[int, float]] = []  # (env_steps, avg_return) per eval
     metrics_path = out / "metrics.csv"
-    critic_updates = 0
-    actor_updates = 0
     stopped_early = False
-    eval_index = 0
 
     with metrics_path.open("w") as metrics_file:
         metrics_file.write(",".join(METRICS_COLUMNS) + "\n")
@@ -214,7 +212,6 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                 a, _ = act_stochastic(agent.phi, obs, streams["policy"])
                 obs2, r, done, truncated = env.step(a)
                 buffer.push(obs, a, r * cfg.reward_scale, obs2, done)
-                agent.env_steps += 1
                 if done or truncated:
                     obs = env.reset(int(streams["env"].integers(0, 2**63)))
                 else:
@@ -226,27 +223,25 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                         agent.critics,
                         batch,
                         agent.phi_bar,
-                        agent.temperature.alpha,
+                        agent.alpha,
                         cfg,
                         streams["targets"],
                     )
-                    critic_updates += 1
-                    if critic_updates % cfg.policy_delay == 0:
+                    if critic_adam.step % cfg.policy_delay == 0:
                         s_batch = batch.s
                         grads = actor_gradient(
                             agent.phi,
                             s_batch,
                             agent.critics,
-                            agent.temperature.alpha,
+                            agent.alpha,
                             streams["actor_noise"],
                             active,
                         )
-                        adam_step(agent.adam_actor, agent.phi, grads.scale(-1.0), cfg.lr_actor)
-                        actor_updates += 1
+                        adam_step(actor_adam, agent.phi, grads, cfg.lr_actor)
                         dist = policy_forward(agent.phi, s_batch)
                         noise = streams["temp_noise"].standard_normal(dist.mu.shape)
                         _, logp = policy_sample(dist, noise)
-                        agent.temperature = temperature_update(agent.temperature, logp)
+                        agent.alpha = temperature_update(agent.alpha, logp, target_entropy, cfg.lr_alpha)
                         for i in active:
                             soft_update(agent.critics.theta[i], agent.critics.theta_bar[i], cfg.tau)
                         soft_update(agent.phi, agent.phi_bar, cfg.tau)
@@ -257,12 +252,13 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
             ):
                 raise NumericalError(
                     f"non-finite parameters at iteration {iteration} "
-                    f"(alpha={agent.temperature.alpha:.3g}, b={agent.critics.b}, "
+                    f"(alpha={agent.alpha:.3g}, b={agent.critics.b}, "
                     f"omega={agent.critics.omega})"
                 )
 
             if iteration % cfg.eval_interval == 0 or iteration == cfg.total_iterations:
-                eval_index += 1
+                eval_index = -(-iteration // cfg.eval_interval)  # evals so far, this one included
+                env_steps = iteration * cfg.samples_per_iteration
                 avg_return, _ = evaluate_policy(
                     agent.phi,
                     env,
@@ -274,12 +270,12 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                     agent, buffer, cfg, active, eval_index
                 )
                 row = (
-                    iteration, agent.env_steps, avg_return, q_mean, sigma_mean, agent.temperature.alpha,
+                    iteration, env_steps, avg_return, q_mean, sigma_mean, agent.alpha,
                     *agent.critics.b, *agent.critics.omega, entropy, None,  # no bias_estimate yet
                 )
                 metrics_file.write(",".join(_cell(c, x) for c, x in zip(METRICS_COLUMNS, row, strict=True)) + "\n")
                 metrics_file.flush()
-                curve.append((agent.env_steps, avg_return))
+                curve.append((env_steps, avg_return))
                 if cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0:
                     save_checkpoint(out / f"checkpoint_{iteration}.npz", agent, cfg, env.spec)
                 if cfg.stop_return is not None and avg_return >= cfg.stop_return:
@@ -298,11 +294,11 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
         "env_fixture": env.fixture_constants(),
         "build_id": build_id(),
         "iterations_run": agent.iteration,
-        "env_steps": agent.env_steps,
-        "critic_updates": critic_updates,
-        "actor_updates": actor_updates,
+        "env_steps": agent.iteration * cfg.samples_per_iteration,
+        "critic_updates": critic_adam.step,
+        "actor_updates": actor_adam.step,
         "final_return": curve[-1][1] if curve else None,
-        "final_alpha": agent.temperature.alpha,
+        "final_alpha": agent.alpha,
         "stopped_early": stopped_early,
         "runtime_s": time.perf_counter() - started,
         "checkpoint": checkpoint,
@@ -332,7 +328,6 @@ def collect_on_policy_pairs(env, phi, n_samples: int, rng: np.random.Generator):
 
 def measure_bias(
     checkpoint: str | Path,
-    env=None,
     n_samples: int = 20,
     n_rollouts: int = 100,
     seed: int = 0,
@@ -343,7 +338,7 @@ def measure_bias(
     stored stochastic policy with entropy bonuses after the first step.
     """
     _check_counts(seed, n_samples=n_samples, n_rollouts=n_rollouts)
-    agent, cfg, env = _load_with_env(checkpoint, env)
+    agent, cfg, env = _load_with_env(checkpoint)
     active = cfg.kernel().active_critics
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _BIAS_TAG, seed]))
     pairs = collect_on_policy_pairs(env.clone(), agent.phi, n_samples, rng)
@@ -351,7 +346,7 @@ def measure_bias(
     def policy(obs, prng):
         return act_stochastic(agent.phi, obs, prng)
 
-    alpha = agent.temperature.alpha
+    alpha = agent.alpha
     report_pairs = []
     for phys, obs, a in pairs:
         estimates = [

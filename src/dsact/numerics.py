@@ -8,10 +8,11 @@ framework.
 
 Each network's parameters live in one flat buffer (its arena), and
 every layer's weight and bias is a view into it. Gradients and Adam
-moments are bare flat buffers in the same layout, so Adam, soft updates
-and finite checks are single vector passes over the buffer; only
-`ParamSet` has per-layer views (`layers`), because the forward and
-backward passes walk them.
+moments are bare float64 arrays of the buffer's shape, in its order;
+they carry no layout of their own, and `adam_step` checks their shapes
+against ``params.flat``. Adam, soft updates and finite checks are
+single vector passes over the buffer; only `ParamSet` has per-layer
+views (`layers`), because the forward and backward passes walk them.
 
 One batch contract holds across `numerics`, `distributions`, `critic`
 and `actor`: inside the engine a batch is a float64 (rows, n) array,
@@ -110,7 +111,7 @@ class Layout:
     Weights and biases alternate layer by layer (w0, b0, w1, b1, ...);
     ``spans`` holds (weight slice, weight shape, bias slice, bias shape)
     per layer. A layout is immutable: it is built once per network and
-    shared by the network's copies, its gradients and its Adam moments.
+    shared by the network's copies.
     """
 
     __slots__ = ("shapes", "size", "spans")
@@ -170,35 +171,15 @@ class ParamSet:
         return ParamSet(self.flat.copy(), self.layout)
 
 
-class GradSet:
-    """Per-parameter partials over ``flat`` itself (no copy), in a
-    network's layout."""
-
-    def __init__(self, flat: np.ndarray, layout: Layout):
-        self.flat, self.layout = flat, layout
-
-    def scale(self, c: float) -> "GradSet":
-        """Multiply in place and return self; the caller must own the buffer."""
-        self.flat *= c
-        return self
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
-
+@dataclass
 class AdamState:
-    """First and second moments ``m`` and ``v`` in a network's layout, and
-    the step count; the betas and delta are the module constants."""
+    """First and second moments ``m`` and ``v``, bare arrays of the
+    network's flat shape, and the step count; the betas and delta are
+    the module constants."""
 
-    def __init__(self, layout: Layout, step: int = 0):
-        self.layout = layout
-        self.m = np.zeros(layout.size)
-        self.v = np.zeros(layout.size)
-        self.step = step
-
-
-def init_adam(params: ParamSet) -> AdamState:
-    return AdamState(params.layout)
+    m: np.ndarray
+    v: np.ndarray
+    step: int = 0
 
 
 def init_mlp(rng: np.random.Generator, sizes: list[int]) -> ParamSet:
@@ -254,13 +235,13 @@ def mlp_forward(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, ForwardCac
 
 def mlp_backward(
     params: ParamSet, cache: ForwardCache, output_grad: np.ndarray, input_only: bool = False
-) -> tuple[GradSet | None, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Reverse-mode derivatives of sum_batch <output, output_grad>.
 
     ``output_grad`` has the forward output's (batch, out_dim) shape.
-    Returns the parameter gradient, summed over the batch (divide by
-    the batch size for a mean), and the (batch, in_dim) gradient with
-    respect to the input. With ``input_only`` the parameter gradient
+    Returns the parameter gradient as a flat array in the network's
+    layout, summed over the batch (divide by the batch size for a mean),
+    and the (batch, in_dim) gradient with respect to the input. With ``input_only`` the parameter gradient
     is not formed and None stands in its place; the input gradient is
     the same.
     """
@@ -286,11 +267,11 @@ def mlp_backward(
             flat[w] = (g.T @ cache.inputs[i]).ravel()
             flat[b] = g.sum(axis=0)
         g = g @ layer.weight
-    return (None if flat is None else GradSet(flat, layout)), g
+    return flat, g
 
 
 def adam_step(
-    state: AdamState, params: ParamSet, grads: GradSet, lr: float
+    state: AdamState, params: ParamSet, grads: np.ndarray, lr: float
 ) -> tuple[ParamSet, AdamState]:
     """One bias-corrected Adam update over the whole flat buffer; mutates
     state and params in place.
@@ -300,16 +281,19 @@ def adam_step(
     in a second."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    if grads.layout != params.layout or state.layout != params.layout:
-        raise ValueError("adam_step layouts differ")
-    if not grads.is_finite():
+    shape = params.flat.shape
+    if grads.shape != shape or state.m.shape != shape or state.v.shape != shape:
+        raise ValueError(
+            f"adam_step shapes differ: params {shape}, grads {grads.shape}, m {state.m.shape}, v {state.v.shape}"
+        )
+    if not np.isfinite(grads).all():
         raise NumericalError("non-finite gradient entry in adam_step")
     state.step += 1
     t = state.step
     b1, b2, d = ADAM_BETA1, ADAM_BETA2, ADAM_DELTA
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    m, v, g = state.m, state.v, grads.flat
+    m, v, g = state.m, state.v, grads
     m *= b1
     scratch = np.multiply(g, 1.0 - b1)
     m += scratch

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environments import ChainSpec
-from .numerics import GradSet, ParamSet
+from .numerics import ParamSet
 
 
 def truth_horizon(gamma: float, tail: float = 1e-3) -> int:
@@ -29,8 +29,9 @@ def truth_horizon(gamma: float, tail: float = 1e-3) -> int:
     return max(t, 1)
 
 
-def finite_diff_grad(scalar_fn, params: ParamSet, h: float) -> GradSet:
-    """Central differences of a deterministic scalar over every parameter."""
+def finite_diff_grad(scalar_fn, params: ParamSet, h: float) -> np.ndarray:
+    """Central differences of a deterministic scalar over every parameter,
+    as a flat array in the network's layout."""
     if h <= 0:
         raise ValueError("h must be positive")
     flat = params.flat
@@ -43,7 +44,7 @@ def finite_diff_grad(scalar_fn, params: ParamSet, h: float) -> GradSet:
         f_minus = scalar_fn(params)
         flat[k] = orig
         gflat[k] = (f_plus - f_minus) / (2.0 * h)
-    return GradSet(gflat, params.layout)
+    return gflat
 
 
 def mc_true_q(
@@ -62,12 +63,13 @@ def mc_true_q(
     bonuses enter from the first policy-chosen action on, never for the
     queried action itself. The rollout horizon is where the discount
     tail drops below ``tail``, so truncation error is bounded uniformly.
+    Only ``done`` ends a rollout early; the env's time limit does not.
     """
     start_state, start_action = start
     horizon = truth_horizon(gamma, tail)
     total = 0.0
     for _ in range(n_rollouts):
-        sim = env.clone(max_episode_steps=horizon + 1)
+        sim = env.clone()
         sim.reset(int(rng.integers(0, 2**63)))
         sim.set_state(start_state)
         a = np.asarray(start_action, dtype=np.float64)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsact.critic import clip_target
-from dsact.numerics import GradSet, Layout, ParamSet, init_mlp
+from dsact.numerics import AdamState, Layout, ParamSet, init_mlp
 
 
 def per_array(flat: np.ndarray, layout) -> list[np.ndarray]:
@@ -31,10 +31,16 @@ def clip_one(y_z: float, q: float, b: float) -> float:
     return float(clip_target(np.array([y_z]), np.array([q]), b)[0])
 
 
-def grad_rel_err(got: GradSet, want: GradSet) -> float:
-    """Worst per-array relative error, normalized by the larger max-norm."""
+def fresh_adam(net: ParamSet) -> AdamState:
+    """Zero moments and step 0 for ``net``, as the engine starts them."""
+    return AdamState(np.zeros(net.flat.shape), np.zeros(net.flat.shape))
+
+
+def grad_rel_err(got: np.ndarray, want: np.ndarray, layout) -> float:
+    """Worst per-array relative error of two flat gradients in ``layout``,
+    normalized by the larger max-norm."""
     worst = 0.0
-    for a, f in zip(per_array(got.flat, got.layout), per_array(want.flat, want.layout)):
+    for a, f in zip(per_array(got, layout), per_array(want, layout)):
         denom = max(np.max(np.abs(a)), np.max(np.abs(f)), 1e-12)
         worst = max(worst, float(np.max(np.abs(a - f)) / denom))
     return worst

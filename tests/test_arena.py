@@ -13,6 +13,7 @@ metrics.csv.
 
 import copy
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -25,38 +26,35 @@ from dsact.critic import init_critic_pair, soft_update
 from dsact.environments import make_env
 from dsact.harness import make_streams, train
 from dsact.numerics import (
-    GradSet,
     Layer,
     NumericalError,
     adam_step,
-    init_adam,
     init_mlp,
     mlp_backward,
     mlp_forward,
     params_all_finite,
 )
 
-from conftest import net_from_layers, pack, params_equal, per_array, random_net
+from conftest import fresh_adam, net_from_layers, pack, params_equal, per_array, random_net
 from test_harness import tiny_cfg
 
 
 # ---- per-layer reference: the code before the arena, one pass per array ----
 
 
-def ref_is_finite(grads):
-    return all(np.all(np.isfinite(a)) for a in per_array(grads.flat, grads.layout))
+def ref_is_finite(grads, layout):
+    return all(np.all(np.isfinite(a)) for a in per_array(grads, layout))
 
 
-def ref_scale(grads, c):
-    layout = grads.layout
-    d_weights, d_biases = layout.weight_views(grads.flat), layout.bias_views(grads.flat)
-    return GradSet(pack(layout, [c * dw for dw in d_weights], [c * db for db in d_biases]), layout)
+def ref_scale(grads, layout, c):
+    d_weights, d_biases = layout.weight_views(grads), layout.bias_views(grads)
+    return pack(layout, [c * dw for dw in d_weights], [c * db for db in d_biases])
 
 
 def ref_adam_step(state, params, grads, lr):
     if lr <= 0:
         raise ValueError("lr must be positive")
-    if not ref_is_finite(grads):
+    if not ref_is_finite(grads, params.layout):
         raise NumericalError("non-finite gradient entry in adam_step")
     state.step += 1
     t = state.step
@@ -66,7 +64,7 @@ def ref_adam_step(state, params, grads, lr):
     layout = params.layout
     m_weights, m_biases = layout.weight_views(state.m), layout.bias_views(state.m)
     v_weights, v_biases = layout.weight_views(state.v), layout.bias_views(state.v)
-    d_weights, d_biases = layout.weight_views(grads.flat), layout.bias_views(grads.flat)
+    d_weights, d_biases = layout.weight_views(grads), layout.bias_views(grads)
     for i, layer in enumerate(params.layers):
         for m, v, g, p in (
             (m_weights[i], v_weights[i], d_weights[i], layer.weight),
@@ -114,7 +112,7 @@ def ref_mlp_backward(params, cache, output_grad, input_only=False):
         g = g @ layer.weight
     if input_only:  # the same input gradient, no parameter gradient
         return None, g
-    return GradSet(pack(params.layout, d_weights, d_biases), params.layout), g
+    return pack(params.layout, d_weights, d_biases), g
 
 
 def ref_params_all_finite(params):
@@ -135,7 +133,7 @@ def nets_and_states(how, tmp_path):
     """(network, its Adam state or None) pairs made the given way."""
     rng = np.random.default_rng(5)
     net = init_mlp(rng, [3, 6, 5, 2])
-    state = init_adam(net)
+    state = fresh_adam(net)
     adam_step(state, net, mlp_backward(net, mlp_forward(net, rng.standard_normal((4, 3)))[1], np.ones((4, 2)))[0], 1e-3)
     if how == "init_mlp":
         return [(net, state)]
@@ -181,7 +179,7 @@ def test_views_alias_the_buffer_and_updates_reach_the_outputs(how, tmp_path):
 
 def test_copies_own_their_buffers(rng):
     net = init_mlp(rng, [2, 4, 1])
-    state = init_adam(net)
+    state = fresh_adam(net)
     pair = init_critic_pair((rng, rng), 2, 1, [4])
     pair2 = copy.deepcopy(pair)
     for a, b in [
@@ -214,13 +212,15 @@ def test_soft_update_rejects_equal_size_different_layout(rng, source, target):
         soft_update(src, dst, 0.5)
 
 
-def test_adam_step_rejects_mismatched_layouts(rng):
-    net = init_mlp(rng, [2, 4, 1])
-    other = init_mlp(rng, [2, 3, 2])
-    with pytest.raises(ValueError):
-        adam_step(init_adam(net), net, GradSet(np.zeros(other.layout.size), other.layout), 1e-3)
-    with pytest.raises(ValueError):
-        adam_step(init_adam(other), net, GradSet(np.zeros(net.layout.size), net.layout), 1e-3)
+def test_adam_step_rejects_mismatched_shapes(rng):
+    """A gradient or moments of another network's size are refused;
+    they are bare arrays, so their shapes are all adam_step can check."""
+    net = init_mlp(rng, [2, 4, 1])  # 17 parameters
+    other = init_mlp(rng, [2, 3, 1])  # 13 parameters
+    with pytest.raises(ValueError, match=re.escape("grads (13,)")):
+        adam_step(fresh_adam(net), net, np.zeros(other.flat.shape), 1e-3)
+    with pytest.raises(ValueError, match=re.escape("m (13,), v (13,)")):
+        adam_step(fresh_adam(other), net, np.zeros(net.flat.shape), 1e-3)
 
 
 # ---- bits: arena ops against the per-layer reference ----
@@ -231,7 +231,7 @@ def test_arena_ops_match_per_layer_reference(rng):
         net, sizes = random_net(rng)
         target = init_mlp(rng, sizes)
         ref_net, ref_target = copy.deepcopy(net), copy.deepcopy(target)
-        state, ref_state = init_adam(net), init_adam(ref_net)
+        state, ref_state = fresh_adam(net), fresh_adam(ref_net)
         x = rng.standard_normal((int(rng.integers(1, 9)), sizes[0]))
         for _ in range(4):
             og = rng.standard_normal((x.shape[0], sizes[-1]))
@@ -240,34 +240,39 @@ def test_arena_ops_match_per_layer_reference(rng):
             assert np.array_equal(input_grad, ref_input_grad)
             _, only = mlp_backward(net, mlp_forward(net, x)[1], og, input_only=True)
             assert np.array_equal(only, ref_input_grad)
-            for a, b in zip(per_array(grads.flat, grads.layout), per_array(ref_grads.flat, ref_grads.layout)):
+            for a, b in zip(per_array(grads, net.layout), per_array(ref_grads, ref_net.layout)):
                 assert np.array_equal(a, b)
             c = float(rng.uniform(0.1, 3.0))
-            assert grads.is_finite() == ref_is_finite(ref_grads)
-            adam_step(state, net, grads.scale(c), 1e-2)
-            ref_adam_step(ref_state, ref_net, ref_scale(ref_grads, c), 1e-2)
+            grads *= c  # critic_update's in-place omega scaling
+            adam_step(state, net, grads, 1e-2)
+            ref_adam_step(ref_state, ref_net, ref_scale(ref_grads, ref_net.layout, c), 1e-2)
             soft_update(net, target, 0.3)
             ref_soft_update(ref_net, ref_target, 0.3)
             assert params_equal(net, ref_net) and params_equal(target, ref_target)
             for a, b in zip(
-                per_array(state.m, state.layout) + per_array(state.v, state.layout),
-                per_array(ref_state.m, ref_state.layout) + per_array(ref_state.v, ref_state.layout),
+                per_array(state.m, net.layout) + per_array(state.v, net.layout),
+                per_array(ref_state.m, ref_net.layout) + per_array(ref_state.v, ref_net.layout),
             ):
                 assert np.array_equal(a, b)
             assert params_all_finite(net) == ref_params_all_finite(ref_net)
 
 
 def test_finite_checks_see_every_array(rng):
+    """params_all_finite and adam_step's gradient check each see a
+    non-finite entry in any layer's weight or bias."""
     net, _ = random_net(rng)
-    assert params_all_finite(net) and GradSet(np.zeros(net.layout.size), net.layout).is_finite()
+    assert params_all_finite(net)
+    adam_step(fresh_adam(net), net.copy(), np.zeros(net.flat.shape), 1e-3)
     for value in (np.nan, np.inf, -np.inf):
         for i in range(len(net.layers)):
             for part in ("weight", "bias"):
                 probe = net.copy()
                 getattr(probe.layers[i], part).flat[-1] = value
-                grads = GradSet(probe.flat.copy(), probe.layout)
+                grads = probe.flat.copy()
                 assert not params_all_finite(probe) and not ref_params_all_finite(probe)
-                assert not grads.is_finite() and not ref_is_finite(grads)
+                assert not ref_is_finite(grads, probe.layout)
+                with pytest.raises(NumericalError):
+                    adam_step(fresh_adam(net), net.copy(), grads, 1e-3)
 
 
 def _per_layer_reference(monkeypatch):
@@ -294,7 +299,6 @@ def _per_layer_reference(monkeypatch):
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("dsact") and getattr(mod, name, None) is prod:
                 monkeypatch.setattr(mod, name, wrapped)
-    monkeypatch.setattr(GradSet, "scale", counted("scale", ref_scale))
     return calls
 
 
@@ -307,5 +311,5 @@ def test_train_matches_per_layer_reference(tmp_path, monkeypatch, algorithm):
     calls = _per_layer_reference(monkeypatch)
     summary = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "reference")))
     assert summary["critic_updates"] > 0
-    assert set(calls) == {"adam_step", "soft_update", "mlp_backward", "params_all_finite", "scale"}
+    assert set(calls) == {"adam_step", "soft_update", "mlp_backward", "params_all_finite"}
     assert (tmp_path / "arena" / "metrics.csv").read_bytes() == (tmp_path / "reference" / "metrics.csv").read_bytes()

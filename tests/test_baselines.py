@@ -257,7 +257,7 @@ def test_no_evs_composition(rng):
             pair2.theta[i], s, a, y_z, y_z, pair2.b[i], cfg.eps
         )
         scale = pair2.omega[i] + cfg.eps_omega
-        adam_step(pair2.adam[i], pair2.theta[i], grads.scale(scale), cfg.lr_critic)
+        adam_step(pair2.adam[i], pair2.theta[i], grads * scale, cfg.lr_critic)
         pair2.b[i], pair2.omega[i] = update_boundary_scale(
             pair2.b[i], pair2.omega[i], sigma, 1.0, cfg.xi
         )
@@ -288,7 +288,7 @@ def test_single_dist_composition(rng):
     )
     assert np.all(chosen == 0)
     grads, _, sigma = assemble_critic_gradient(pair2.theta[0], s, a, y_q, y_z, 0.0, cfg.eps)
-    adam_step(pair2.adam[0], pair2.theta[0], grads.scale(cfg.eps_omega), cfg.lr_critic)
+    adam_step(pair2.adam[0], pair2.theta[0], grads * cfg.eps_omega, cfg.lr_critic)
     pair2.b[0], pair2.omega[0] = update_boundary_scale(0.0, 0.0, sigma, 1.0, cfg.xi)
     assert params_equal(pair.theta[0], pair2.theta[0])
     assert pair.b[0] == pair2.b[0] and pair.omega[0] == pair2.omega[0]
@@ -333,7 +333,7 @@ def test_sac_fixed_point(rng):
     a = rng.standard_normal((5, 1))
     q, _, _, _ = critic_forward(pair.theta[0], s, a)
     grads, _, _ = _assemble_sac_gradient(pair.theta[0], s, a, q.copy())
-    assert not grads.flat.any()
+    assert not grads.any()
 
 
 def test_variant_fixed_points_share_zero():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsact.critic import (
-    CriticPairState,
     assemble_critic_gradient,
     batch_arrays,
     build_targets,
@@ -18,10 +17,10 @@ from dsact.critic import (
     update_boundary_scale,
 )
 from dsact.distributions import policy_head, policy_logprob
-from dsact.numerics import adam_step, init_adam, init_mlp, mlp_forward
+from dsact.numerics import adam_step, init_mlp, mlp_forward
 from dsact.replay import Batch
 
-from conftest import clip_one, params_equal
+from conftest import clip_one, fresh_adam, params_equal
 from scalar_reference import compute_targets, grad_coeffs_dsact, select_min_target
 
 
@@ -302,9 +301,9 @@ def test_critic_update_fixed_point():
     y_q = q.copy()
     b = float(np.max(sigma) + 1.0)
     grads, _, _ = assemble_critic_gradient(theta, s, a, y_q, y_z, b, eps=0.1)
-    assert not grads.flat.any()
+    assert not grads.any()
     before = theta.copy()
-    adam_step(init_adam(theta), theta, grads, 1e-3)
+    adam_step(fresh_adam(theta), theta, grads, 1e-3)
     assert params_equal(theta, before)
 
 
@@ -331,7 +330,7 @@ def test_critic_update_composition_order(rng):
         )
         scale = pair2.omega[i] + cfg.eps_omega  # omega starts at 0 -> scale eps_omega
         assert scale == cfg.eps_omega
-        adam_step(pair2.adam[i], pair2.theta[i], grads.scale(scale), cfg.lr_critic)
+        adam_step(pair2.adam[i], pair2.theta[i], grads * scale, cfg.lr_critic)
         pair2.b[i], pair2.omega[i] = update_boundary_scale(
             pair2.b[i], pair2.omega[i], sigma, 1.0, cfg.xi  # first refresh is pure batch stats
         )

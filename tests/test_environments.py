@@ -3,13 +3,19 @@ import pytest
 
 from dsact.environments import (
     BanditChainEnv,
-    ChainSpec,
     PendulumEnv,
     PointRobotEnv,
     make_env,
     point_robot_reference_action,
     wrap_angle,
 )
+
+
+def placed(env, state):
+    """The env at ``state`` and step 0, by reset and set_state."""
+    env.reset(0)
+    env.set_state(state)
+    return env
 
 
 def run_trajectory(env, seed, actions):
@@ -24,22 +30,19 @@ def run_trajectory(env, seed, actions):
 
 class TestPendulum:
     def test_upright_fixed_point(self):
-        env = PendulumEnv()
-        env.force_state(0.0, 0.0)
+        env = placed(PendulumEnv(), (0.0, 0.0))
         obs, r, done, trunc = env.step(np.array([0.0]))
         assert r == 0.0
         assert env.get_state() == (0.0, 0.0)
 
     def test_hanging_reward(self):
-        env = PendulumEnv()
-        env.force_state(np.pi, 0.0)
+        env = placed(PendulumEnv(), (np.pi, 0.0))
         _, r, _, _ = env.step(np.array([0.0]))
         assert r == pytest.approx(-np.pi**2, abs=1e-12)
 
     def test_velocity_update_at_pi(self):
         # thdot' = thdot + dt * (3g/2l) * sin(theta); sin(pi) = 0
-        env = PendulumEnv()
-        env.force_state(np.pi, 0.0)
+        env = placed(PendulumEnv(), (np.pi, 0.0))
         env.step(np.array([0.0]))
         assert abs(env.thdot) < 1e-15
 
@@ -77,8 +80,7 @@ class TestPendulum:
         assert trunc
 
     def test_torque_scale(self):
-        env = PendulumEnv()
-        env.force_state(np.pi / 2, 0.0)
+        env = placed(PendulumEnv(), (np.pi / 2, 0.0))
         env.step(np.array([1.0]))  # u = 2
         # thdot = dt*(15*sin(pi/2) + 3*2) = 0.05*21
         assert env.thdot == pytest.approx(0.05 * 21.0, abs=1e-12)
@@ -86,8 +88,7 @@ class TestPendulum:
     def test_energy_drift_under_free_swing(self):
         """Fixture property: swinging freely near the bottom, total
         mechanical energy drifts by less than 1% over one episode."""
-        env = PendulumEnv()
-        env.force_state(np.pi - 0.3, 0.0)
+        env = placed(PendulumEnv(), (np.pi - 0.3, 0.0))
         e0 = env.mechanical_energy()
         for _ in range(200):
             env.step(np.array([0.0]))
@@ -99,17 +100,16 @@ class TestPointRobot:
     def test_collision_symmetric_and_exact(self):
         env = PointRobotEnv()
         r_sum = env.R_ROBOT + env.R_OBSTACLE
-        env.force_state(0, 0, 0, 0, 0, r_sum + 1e-9, 0, 0, 0)
+        placed(env, (0, 0, 0, 0, 0, r_sum + 1e-9, 0, 0, 0))
         assert not env.collision()
-        env.force_state(0, 0, 0, 0, 0, r_sum - 1e-9, 0, 0, 0)
+        placed(env, (0, 0, 0, 0, 0, r_sum - 1e-9, 0, 0, 0))
         assert env.collision()
         # swap robot and obstacle positions
-        env.force_state(r_sum - 1e-9, 0, 0, 0, 0, 0, 0, 0, 0)
+        placed(env, (r_sum - 1e-9, 0, 0, 0, 0, 0, 0, 0, 0))
         assert env.collision()
 
     def test_collision_terminates_with_penalty(self):
-        env = PointRobotEnv()
-        env.force_state(0, 0, 0, 0.28, 0, 0.3, 0, 0, 0)
+        env = placed(PointRobotEnv(), (0, 0, 0, 0.28, 0, 0.3, 0, 0, 0))
         _, r, done, _ = env.step(np.array([0.0, 0.0]))
         assert done
         assert r < -99.0
@@ -142,8 +142,7 @@ class TestPointRobot:
             assert 4.0 <= t_obstacle <= 7.0
 
     def test_reward_at_speed_on_path(self):
-        env = PointRobotEnv()
-        env.force_state(0, 0, 0, 0.28, 0, 50, 50, 0, 0)  # obstacle far away
+        env = placed(PointRobotEnv(), (0, 0, 0, 0.28, 0, 50, 50, 0, 0))  # obstacle far away
         _, r, done, _ = env.step(np.array([0.0, 0.0]))
         assert not done
         assert r == pytest.approx(0.0, abs=1e-12)
@@ -253,8 +252,7 @@ CLAMP_ACTIONS = [
     [(0.3, 0.0), (np.pi / 2, 7.99), (-np.pi / 2, -7.99), (1.0, 8.0), (-1.0, -8.0), (0.5, np.nan)],
 )
 def test_pendulum_step_clamps_match_np_clip_bit_for_bit(action, th, thdot):
-    env = PendulumEnv()
-    env.force_state(th, thdot)
+    env = placed(PendulumEnv(), (th, thdot))
     want = reference_pendulum_step(env, action)
     _, r, _, _ = env.step(action)
     assert bits(env.th, env.thdot, r) == bits(*want)
@@ -267,8 +265,8 @@ def test_chain_step_clamp_matches_np_clip_bit_for_bit(action, noise_std):
         env, ref = BanditChainEnv(noise_std=noise_std), BanditChainEnv(noise_std=noise_std)
         env.reset(4)
         ref.reset(4)
-        env.force_state(state)
-        ref.force_state(state)
+        env.set_state(state)
+        ref.set_state(state)
         _, r, _, _ = env.step(action)
         assert bits(r) == bits(reference_chain_reward(ref, action))
 

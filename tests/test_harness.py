@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import io
 import json
@@ -8,22 +9,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsact.agent import NETWORKS, build_agent, load_checkpoint, save_checkpoint
+from dsact.actor import actor_gradient, policy_forward, temperature_update
+from dsact.agent import ADAM_NETWORKS, NETWORKS, build_agent, load_checkpoint, save_checkpoint
+from dsact.baselines import build_variant
 from dsact.charts import write_line_chart
 from dsact.config import ConfigError, RunConfig, config_from_dict, load_config
+from dsact.distributions import policy_sample
 from dsact.environments import PendulumEnv, make_env
 from dsact.harness import (
     evaluate,
     evaluate_policy,
     make_streams,
     measure_bias,
-    rollout_return,
     run_ablation,
     train,
 )
 from dsact.cli import main as cli_main
 from dsact.harness_util import write_atomic
-from dsact.numerics import init_mlp
+from dsact.numerics import adam_step, init_mlp
 from dsact.replay import Batch
 import dsact.harness as harness
 
@@ -101,11 +104,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
-    def test_target_entropy_default_is_minus_act_dim(self, tmp_path):
-        cfg = tiny_cfg(tmp_path)
-        env = make_env(cfg.env, cfg.env_overrides)
-        agent = build_agent(cfg, env.spec, make_streams(cfg.seed))
-        assert agent.temperature.target_entropy == -1.0
+    @pytest.mark.parametrize("target_entropy, resolved", [(None, -1.0), (-0.25, -0.25)])
+    def test_target_entropy_default_is_minus_act_dim(self, tmp_path, monkeypatch, target_entropy, resolved):
+        """train resolves the target entropy once: the config's, or -act_dim
+        when it is null; every temperature step gets that value."""
+        seen = []
+
+        def spy(alpha, logp, target_entropy, lr_alpha):
+            seen.append(target_entropy)
+            return temperature_update(alpha, logp, target_entropy, lr_alpha)
+
+        monkeypatch.setattr(harness, "temperature_update", spy)
+        summary = train(tiny_cfg(tmp_path, total_iterations=2, target_entropy=target_entropy))
+        assert len(seen) == summary["actor_updates"] > 0
+        assert set(seen) == {resolved}
 
 
 def saved_checkpoint(tmp_path):
@@ -156,8 +168,10 @@ def flip_payload_byte(path, agent):
 
 
 class TestCheckpoint:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, target_entropy=-0.25)
+    @pytest.mark.parametrize("alpha_init", [0.2, 1])
+    def test_roundtrip_bit_exact(self, tmp_path, alpha_init):
+        """Also when the config gives alpha as a JSON integer."""
+        cfg = tiny_cfg(tmp_path, target_entropy=-0.25, alpha_init=alpha_init)
         env = make_env(cfg.env, cfg.env_overrides)
         agent = build_agent(cfg, env.spec, make_streams(cfg.seed))
         agent.critics.b = [1.25, 2.5]
@@ -172,7 +186,7 @@ class TestCheckpoint:
             assert params_equal(loaded.critics.theta_bar[i], agent.critics.theta_bar[i])
         assert loaded.critics.b == agent.critics.b
         assert loaded.critics.omega == agent.critics.omega
-        assert loaded.temperature == agent.temperature
+        assert loaded.alpha == agent.alpha
         assert doc["format_version"] == 2
         # a second save of the loaded state is byte-identical
         path2 = tmp_path / "ckpt2.npz"
@@ -220,19 +234,18 @@ class TestCheckpoint:
         [
             (lambda h: h.update(iteration=3.7), "['iteration'] must be a non-negative integer, got 3.7"),
             (lambda h: h.update(iteration=3.0), "['iteration'] must be a non-negative integer, got 3.0"),
-            (lambda h: h.update(env_steps=True), "['env_steps'] must be a non-negative integer, got True"),
-            (lambda h: h.update(env_steps=-1), "['env_steps'] must be a non-negative integer, got -1"),
+            (lambda h: h.update(iteration=True), "['iteration'] must be a non-negative integer, got True"),
+            (lambda h: h.update(iteration=-1), "['iteration'] must be a non-negative integer, got -1"),
             (lambda h: h["adam_steps"].update(actor=2.5), "['adam_steps']['actor'] must be a non-negative integer"),
             (lambda h: h["adam_steps"].update(critic1=1.0), "['adam_steps']['critic1'] must be a non-negative integer"),
             (lambda h: h["adam_steps"].update(critic2=False), "['adam_steps']['critic2'] must be a non-negative integer"),
-            (lambda h: h.update(stats_initialized=[0.5, True]), "['stats_initialized'] must be 2 booleans, got [0.5, True]"),
-            (lambda h: h.update(stats_initialized=[True, 0]), "['stats_initialized'] must be 2 booleans, got [True, 0]"),
             (lambda h: h.update(b=[1.0, True]), "['b'] must be 2 numbers"),
+            (lambda h: h.update(omega=[0.5, "1"]), "['omega'] must be 2 numbers"),
         ],
     )
-    def test_counters_steps_and_flags_are_not_coerced(self, tmp_path, change, named):
-        """Counters and Adam steps load only from JSON integers and the
-        stats flags only from JSON booleans; nothing is truncated or cast."""
+    def test_counters_and_steps_are_not_coerced(self, tmp_path, change, named):
+        """The iteration and Adam steps load only from JSON integers and
+        b/omega only from JSON numbers; nothing is truncated or cast."""
         path, _ = saved_checkpoint(tmp_path)
         rewrite_checkpoint(path, edit_header(change))
         with pytest.raises(ConfigError, match=re.escape(named)) as caught:
@@ -247,24 +260,35 @@ class TestCheckpoint:
             "config",
             "env",
             "iteration",
-            "env_steps",
             "alpha",
             "b",
             "omega",
-            "stats_initialized",
             "adam_steps",
         }
 
-    def test_earlier_header_with_shapes_and_target_entropy_loads(self, tmp_path):
+    @pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
+    def test_earlier_header_with_shapes_and_target_entropy_loads(self, tmp_path, trained):
         """A header that also holds the per-network shapes and activations
         and the target entropy, as earlier format-2 writers stored them,
-        loads into the same agent, and re-saving drops the extra keys."""
-        path, agent = saved_checkpoint(tmp_path)
+        and the env step count and per-critic stats flags, as the writer
+        before this one stored them, loads into the same agent: buffers,
+        Adam steps, alpha and b/omega. Re-saving drops the extra keys."""
+        if trained:
+            cfg = tiny_cfg(tmp_path, total_iterations=2)
+            train(cfg)
+            path = Path(cfg.out_dir) / "checkpoint_2.npz"
+            agent, _ = load_checkpoint(path)
+            assert agent.critics.adam[0].step > 0 and agent.critics.b[0] > 0
+        else:
+            path, agent = saved_checkpoint(tmp_path)
         fresh = path.read_bytes()
         nets = dict(zip(NETWORKS, (agent.phi, agent.phi_bar, *agent.critics.theta, *agent.critics.theta_bar)))
+        adams = dict(zip(ADAM_NETWORKS, (agent.adam_actor, *agent.critics.adam)))
 
         def add_earlier_keys(header):
-            header["target_entropy"] = agent.temperature.target_entropy
+            header["target_entropy"] = -1.0
+            header["env_steps"] = 20 * header["iteration"]
+            header["stats_initialized"] = [header["adam_steps"][n] > 0 for n in ("critic1", "critic2")]
             header["networks"] = {
                 name: {
                     "shapes": [list(w_shape) for w_shape, _ in net.layout.shapes],
@@ -275,13 +299,65 @@ class TestCheckpoint:
 
         rewrite_checkpoint(path, edit_header(add_earlier_keys))
         loaded, header = load_checkpoint(path)
-        assert "networks" in header and header["target_entropy"] == -1.0
+        assert {"networks", "target_entropy", "env_steps", "stats_initialized"} <= set(header)
         for name, net in zip(NETWORKS, (loaded.phi, loaded.phi_bar, *loaded.critics.theta, *loaded.critics.theta_bar)):
             assert params_equal(net, nets[name]) and net.layout == nets[name].layout
-        assert loaded.temperature == agent.temperature
+        for name, state in zip(ADAM_NETWORKS, (loaded.adam_actor, *loaded.critics.adam)):
+            want = adams[name]
+            assert state.step == want.step and np.array_equal(state.m, want.m) and np.array_equal(state.v, want.v)
+        assert loaded.alpha == agent.alpha and loaded.iteration == agent.iteration
+        assert loaded.critics.b == agent.critics.b and loaded.critics.omega == agent.critics.omega
         cfg = config_from_dict(header["config"])
         save_checkpoint(path, loaded, cfg, make_env(cfg.env, cfg.env_overrides).spec)
         assert path.read_bytes() == fresh
+
+    @pytest.mark.parametrize("at_iteration", [0, 2])
+    def test_reloaded_agent_continues_like_the_original(self, tmp_path, monkeypatch, at_iteration):
+        """An agent saved during a run and loaded back takes the next
+        critic update and actor/temperature step exactly as the agent in
+        memory does. Saved at iteration 0 the critics have no Adam step,
+        so that update seeds b and omega (tau 1); at iteration 2 it moves
+        them by tau."""
+        cfg = tiny_cfg(tmp_path, total_iterations=2, checkpoint_interval=2)
+        kept, harness_save = {}, harness.save_checkpoint
+
+        def save_and_keep(path, agent, *args):
+            kept[Path(path).name] = copy.deepcopy(agent)
+            harness_save(path, agent, *args)
+
+        monkeypatch.setattr(harness, "save_checkpoint", save_and_keep)
+        train(cfg)
+        name = f"checkpoint_{at_iteration}.npz"
+        original = kept[name]
+        loaded, _ = load_checkpoint(Path(cfg.out_dir) / name)
+        assert original.critics.adam[0].step == (0 if at_iteration == 0 else 20)
+
+        rng = np.random.default_rng(3)
+        s, s_next = np.eye(3)[rng.integers(0, 3, 16)], np.eye(3)[rng.integers(0, 3, 16)]
+        batch = Batch(s, rng.uniform(-1, 1, (16, 1)), rng.standard_normal(16), s_next, np.zeros(16, dtype=bool))
+        update = build_variant(cfg.kernel())
+        for agent in (original, loaded):
+            update(agent.critics, batch, agent.phi_bar, agent.alpha, cfg, np.random.default_rng(4))
+            grads = actor_gradient(agent.phi, batch.s, agent.critics, agent.alpha, np.random.default_rng(5))
+            adam_step(agent.adam_actor, agent.phi, grads, cfg.lr_actor)
+            dist = policy_forward(agent.phi, batch.s)
+            _, logp = policy_sample(dist, np.random.default_rng(6).standard_normal(dist.mu.shape))
+            agent.alpha = temperature_update(agent.alpha, logp, -1.0, cfg.lr_alpha)
+
+        def state(agent):
+            critics = agent.critics
+            nets = (agent.phi, agent.phi_bar, *critics.theta, *critics.theta_bar)
+            adams = (agent.adam_actor, *critics.adam)
+            return (
+                [net.flat for net in nets] + [a.m for a in adams] + [a.v for a in adams],
+                ([a.step for a in adams], critics.b, critics.omega, agent.alpha),
+            )
+
+        (buffers, scalars), (loaded_buffers, loaded_scalars) = state(original), state(loaded)
+        assert all(np.array_equal(a, b) for a, b in zip(buffers, loaded_buffers, strict=True))
+        assert scalars == loaded_scalars
+        assert original.critics.adam[0].step == (1 if at_iteration == 0 else 21)
+        assert original.critics.b[0] > 0 and original.critics.omega[0] > 0
 
     def test_default_width_file_is_its_raw_buffers(self, tmp_path):
         cfg = RunConfig(env="pendulum")
@@ -410,7 +486,8 @@ class TestEvaluate:
             layer.weight[:] = 0.0
             layer.bias[:] = 0.0
         env = PendulumEnv()
-        env.force_state(0.0, 0.0)
+        env.reset(0)
+        env.set_state((0.0, 0.0))
         total = 0.0
         for _ in range(200):
             _, r, _, _ = env.step(np.tanh(np.zeros(1)))
@@ -427,12 +504,8 @@ class TestEvaluate:
         assert -2000 <= mean <= -800
 
     def test_dimension_mismatch_rejected(self, tmp_path):
-        from dsact.environments import PointRobotEnv
-
-        cfg = tiny_cfg(tmp_path, total_iterations=0)
-        train(cfg)
         with pytest.raises(ConfigError):
-            evaluate(Path(cfg.out_dir) / "checkpoint_0.npz", env=PointRobotEnv(), episodes=1)
+            evaluate(pendulum_echo_over_point_robot(tmp_path), episodes=1)
 
     def test_eval_uses_raw_rewards_under_scaling(self, tmp_path):
         # same seed and an untouched policy (warm never reached): the
@@ -461,23 +534,36 @@ class TestMeasureBias:
         )
 
 
+def pendulum_echo_over_point_robot(tmp_path):
+    """A crafted checkpoint whose config echo names the pendulum (obs 3,
+    act 1) over point-robot buffers and env block (obs 8, act 2): the
+    buffers fit the env block, so it loads, but the env built from the
+    echo does not fit the agent."""
+    cfg = tiny_cfg(tmp_path, env="point-robot", env_overrides={})
+    spec = make_env("point-robot").spec
+    agent = build_agent(cfg, spec, make_streams(cfg.seed))
+    ckpt = tmp_path / "foreign.npz"
+    save_checkpoint(ckpt, agent, dataclasses.replace(cfg, env="pendulum"), spec)
+    return ckpt
+
+
 @pytest.mark.parametrize(
-    "entry",
+    "entry, command",
     [
-        lambda ckpt, env: evaluate(ckpt, env=env, episodes=1),
-        lambda ckpt, env: measure_bias(ckpt, env=env, n_samples=1, n_rollouts=1),
+        (lambda ckpt: evaluate(ckpt, episodes=1), ["eval"]),
+        (lambda ckpt: measure_bias(ckpt, n_samples=1, n_rollouts=1), ["bias", "--samples", "1", "--rollouts", "1"]),
     ],
     ids=["evaluate", "measure_bias"],
 )
-def test_foreign_env_refused_naming_the_dims(tmp_path, entry):
-    """A pendulum agent (obs 3, act 1) cannot run in the point robot (obs 8, act 2)."""
-    cfg = tiny_cfg(tmp_path, env="pendulum", env_overrides={})
-    agent = build_agent(cfg, make_env("pendulum").spec, make_streams(cfg.seed))
-    ckpt = tmp_path / "pendulum.npz"
-    save_checkpoint(ckpt, agent, cfg, make_env("pendulum").spec)
-    with pytest.raises(ConfigError, match=re.escape("(obs_dim, act_dim) = (8, 2) do not match")) as caught:
-        entry(ckpt, make_env("point-robot"))
-    assert "(3, 1)" in str(caught.value)
+def test_foreign_env_refused_naming_the_dims(tmp_path, capsys, entry, command):
+    """A point-robot agent under a pendulum config echo is refused, naming
+    both dims; the CLI exits 2 on it."""
+    ckpt = pendulum_echo_over_point_robot(tmp_path)
+    with pytest.raises(ConfigError, match=re.escape("(obs_dim, act_dim) = (3, 1) do not match")) as caught:
+        entry(ckpt)
+    assert "(8, 2)" in str(caught.value)
+    assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
+    assert "(3, 1) do not match" in capsys.readouterr().err
 
 
 class TestAblation:

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from dsact.numerics import (
+    Layer,
     NumericalError,
     adam_step,
     gelu,
     gelu_grad,
-    init_adam,
     init_mlp,
     mlp_backward,
     mlp_forward,
 )
-from dsact.numerics import GradSet, Layer
 from dsact.oracles import finite_diff_grad
 
-from conftest import grad_rel_err, net_from_layers, pack, params_equal, random_net
+from conftest import fresh_adam, grad_rel_err, net_from_layers, pack, params_equal, random_net
 
 
 def test_gelu_fixed_points():
@@ -98,7 +97,7 @@ def test_backward_zero_output_grad(rng):
     net, sizes = random_net(rng)
     _, cache = mlp_forward(net, rng.standard_normal((2, sizes[0])))
     grads, input_grad = mlp_backward(net, cache, np.zeros((2, sizes[-1])))
-    assert not grads.flat.any()
+    assert not grads.any()
     assert np.all(input_grad == 0.0)
 
 
@@ -112,7 +111,7 @@ def test_backward_matches_finite_differences(rng):
         _, cache = mlp_forward(net, x)
         grads, _ = mlp_backward(net, cache, og)
         fd = finite_diff_grad(lambda p: float(np.sum(mlp_forward(p, x)[0] * og)), net, 1e-5)
-        worst = max(worst, grad_rel_err(grads, fd))
+        worst = max(worst, grad_rel_err(grads, fd, net.layout))
     assert worst <= 1e-5
 
 
@@ -124,7 +123,7 @@ def test_backward_stacked_identity_layers_outer_product():
     og = np.array([0.7, 0.1, -1.3])
     _, cache = mlp_forward(net, x[None])
     grads, _ = mlp_backward(net, cache, og[None])
-    d_weights = net.layout.weight_views(grads.flat)
+    d_weights = net.layout.weight_views(grads)
     assert np.allclose(d_weights[0], np.outer(og * gelu_grad(x), x))
     assert np.allclose(d_weights[1], np.outer(og, gelu(x)))
 
@@ -135,12 +134,12 @@ def test_backward_batched_equals_sum_of_singles(rng):
     ogs = rng.standard_normal((5, 2))
     _, cache = mlp_forward(net, xs)
     batched, _ = mlp_backward(net, cache, ogs)
-    total = GradSet(np.zeros(net.layout.size), net.layout)
+    total = np.zeros(net.layout.size)
     for j in range(5):
         _, c = mlp_forward(net, xs[j : j + 1])
         g, _ = mlp_backward(net, c, ogs[j : j + 1])
-        total = GradSet(total.flat + g.flat, total.layout)
-    assert grad_rel_err(batched, total) < 1e-12
+        total = total + g
+    assert grad_rel_err(batched, total, net.layout) < 1e-12
 
 
 @pytest.mark.parametrize("batch", [1, 128])
@@ -179,17 +178,17 @@ def test_backward_rejects_wrong_output_grad_shape(rng, shape):
 def test_adam_zero_gradient_fixed_point(rng):
     net = init_mlp(rng, [2, 4, 1])
     before = net.copy()
-    state = init_adam(net)
+    state = fresh_adam(net)
     for _ in range(5):
-        adam_step(state, net, GradSet(np.zeros(net.layout.size), net.layout), lr=0.1)
+        adam_step(state, net, np.zeros(net.layout.size), lr=0.1)
     assert params_equal(net, before)
     assert state.step == 5
 
 
 def test_adam_first_step_magnitude_near_lr():
     net = net_from_layers([Layer(np.array([[2.0]]), np.array([0.0]))])
-    state = init_adam(net)
-    g = GradSet(pack(net.layout, [[[0.3]]], [[0.0]]), net.layout)
+    state = fresh_adam(net)
+    g = pack(net.layout, [[[0.3]]], [[0.0]])
     lr = 1e-2
     adam_step(state, net, g, lr)
     step_size = abs(2.0 - net.layers[0].weight[0, 0])
@@ -199,9 +198,9 @@ def test_adam_first_step_magnitude_near_lr():
 
 def test_adam_rejects_non_finite_gradient(rng):
     net = init_mlp(rng, [2, 2])
-    state = init_adam(net)
-    g = GradSet(np.zeros(net.layout.size), net.layout)
-    net.layout.weight_views(g.flat)[0][0, 0] = np.nan
+    state = fresh_adam(net)
+    g = np.zeros(net.layout.size)
+    net.layout.weight_views(g)[0][0, 0] = np.nan
     with pytest.raises(NumericalError):
         adam_step(state, net, g, 1e-3)
 
@@ -214,8 +213,8 @@ def test_adam_learning_rate_passthrough():
     assert cfg.lr_critic == 1e-4
     assert cfg.lr_actor == 1e-4
     net = net_from_layers([Layer(np.array([[0.0]]), np.array([0.0]))])
-    state = init_adam(net)
-    g = GradSet(pack(net.layout, [[[1.0]]], [[0.0]]), net.layout)
+    state = fresh_adam(net)
+    g = pack(net.layout, [[[1.0]]], [[0.0]])
     adam_step(state, net, g, cfg.lr_critic)
     assert abs(abs(net.layers[0].weight[0, 0]) - cfg.lr_critic) < 1e-9
 

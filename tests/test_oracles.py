@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dsact.environments import BanditChainEnv, ChainSpec
-from dsact.numerics import Layer, init_mlp, mlp_forward
+from dsact.numerics import Layer, init_mlp
 from dsact.oracles import (
     BiasReport,
     finite_diff_grad,
@@ -17,12 +17,11 @@ from conftest import net_from_layers
 class ConstRewardEnv:
     """Minimal deterministic stub: reward 1 every step, never ends."""
 
-    def __init__(self, max_episode_steps=10**9):
-        self.max_episode_steps = max_episode_steps
+    def __init__(self):
         self.state = 0
 
-    def clone(self, **overrides):
-        return type(self)(overrides.get("max_episode_steps", self.max_episode_steps))
+    def clone(self):
+        return type(self)()
 
     def reset(self, seed):
         self.state = 0
@@ -55,8 +54,8 @@ def test_finite_diff_linear_exact():
 
     for h in (1e-3, 1e-5, 1e-7):
         g = finite_diff_grad(fn, net, h)
-        assert np.allclose(net.layout.weight_views(g.flat)[0], coeffs, atol=1e-6)
-        assert np.allclose(net.layout.bias_views(g.flat)[0], [2.0], atol=1e-6)
+        assert np.allclose(net.layout.weight_views(g)[0], coeffs, atol=1e-6)
+        assert np.allclose(net.layout.bias_views(g)[0], [2.0], atol=1e-6)
 
 
 def test_finite_diff_quadratic():
@@ -66,13 +65,13 @@ def test_finite_diff_quadratic():
         return float(p.layers[0].weight[0, 0] ** 2)
 
     g = finite_diff_grad(fn, net, 1e-5)
-    assert abs(net.layout.weight_views(g.flat)[0][0, 0] - 6.0) < 1e-9
+    assert abs(net.layout.weight_views(g)[0][0, 0] - 6.0) < 1e-9
 
 
 def test_finite_diff_constant_zero(rng):
     net = init_mlp(rng, [2, 4, 1])
     g = finite_diff_grad(lambda p: 7.5, net, 1e-5)
-    assert not g.flat.any()
+    assert not g.any()
 
 
 def test_mc_true_q_geometric_series():
