@@ -10,8 +10,7 @@ _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """n + 1 evenly spaced ticks from lo to hi; the caller makes hi > lo."""
     span = (hi - lo) / n
     return [lo + i * span for i in range(n + 1)]
 

@@ -25,6 +25,9 @@ from .environments import ENV_BUILDERS
 
 DEFAULT_SEEDS = [12345, 22345, 32345, 42345, 52345]
 
+# the least value an env constructor takes for each bounded parameter
+_ENV_MINIMA = {"max_episode_steps": 1, "noise_std": 0}
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -82,16 +85,6 @@ class RunConfig:
         for name, value in values:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        # the ordered checks below need numbers; a bool is not one here
-        for f in dataclasses.fields(self):
-            kind, value = f.type.removesuffix(" | None"), getattr(self, f.name)
-            if kind not in ("int", "float") or (value is None and f.type != kind):
-                continue
-            wanted, noun = (numbers.Integral, "an integer") if kind == "int" else (numbers.Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, wanted):
-                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not isinstance(self.env, str) or self.env not in ENV_BUILDERS:
             raise ConfigError(f"unknown env {self.env!r}; choose from {sorted(ENV_BUILDERS)}")
         params = inspect.signature(ENV_BUILDERS[self.env]).parameters
@@ -101,6 +94,22 @@ class RunConfig:
                     f"env_overrides[{key!r}] is not a {self.env} parameter; "
                     f"choose from {sorted(params)}"
                 )
+        # the ordered checks below need numbers; a bool is not one here. Fields
+        # and env parameters follow their annotations, strings in both modules
+        typed = [(f.name, f.type, getattr(self, f.name)) for f in dataclasses.fields(self)]
+        typed += [(f"env_overrides[{k!r}]", params[k].annotation, v) for k, v in self.env_overrides.items()]
+        for name, annotation, value in typed:
+            kind = annotation.removesuffix(" | None")
+            if kind not in ("int", "float") or (value is None and annotation != kind):
+                continue
+            wanted, noun = (numbers.Integral, "an integer") if kind == "int" else (numbers.Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        for key, least in _ENV_MINIMA.items():
+            if self.env_overrides.get(key, least) < least:
+                raise ConfigError(f"env_overrides[{key!r}] must be >= {least}, got {self.env_overrides[key]!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.kernel()
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")

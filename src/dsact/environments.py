@@ -22,7 +22,6 @@ class EnvSpec:
     obs_dim: int
     act_dim: int
     max_episode_steps: int
-    action_scale: tuple[float, ...]
 
 
 def wrap_angle(theta: float) -> float:
@@ -45,7 +44,7 @@ class PendulumEnv:
     MAX_TORQUE = 2.0
 
     def __init__(self, max_episode_steps: int = 200):
-        self.spec = EnvSpec("pendulum", 3, 1, max_episode_steps, (self.MAX_TORQUE,))
+        self.spec = EnvSpec("pendulum", 3, 1, max_episode_steps)
         self.th = 0.0
         self.thdot = 0.0
         self.steps = 0
@@ -124,13 +123,7 @@ class PointRobotEnv:
     COEFF_COLLISION = 100.0
 
     def __init__(self, max_episode_steps: int = 500):
-        self.spec = EnvSpec(
-            "point-robot",
-            8,
-            2,
-            max_episode_steps,
-            (self.ACCEL_SCALE, self.ANG_ACCEL_SCALE),
-        )
+        self.spec = EnvSpec("point-robot", 8, 2, max_episode_steps)
         self.x = self.y = self.psi = self.v = self.om = 0.0
         self.ox = self.oy = self.ovx = self.ovy = 0.0
         self.steps = 0
@@ -258,7 +251,7 @@ class BanditChainEnv:
 
     def __init__(self, noise_std: float = 0.3, max_episode_steps: int = 40):
         self.chain = ChainSpec(noise_std=noise_std)
-        self.spec = EnvSpec("bandit-chain", 3, 1, max_episode_steps, (1.0,))
+        self.spec = EnvSpec("bandit-chain", 3, 1, max_episode_steps)
         self.state = 0
         self.steps = 0
         self._rng = np.random.default_rng(0)

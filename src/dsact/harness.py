@@ -146,9 +146,8 @@ def evaluate(checkpoint: str | Path, episodes: int = 10, deterministic: bool = T
 
 
 def _probe_metrics(agent: AgentState, buffer: ReplayBuffer, cfg: RunConfig, active, eval_index: int):
-    """Diagnostics over a probe batch; never touches training streams."""
-    if buffer.count == 0:
-        return None, None, None
+    """Diagnostics over a probe batch; never touches training streams.
+    An eval follows at least one push, so the buffer is never empty."""
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, _PROBE_TAG, eval_index])
     )
@@ -163,6 +162,15 @@ def _probe_metrics(agent: AgentState, buffer: ReplayBuffer, cfg: RunConfig, acti
     _, logp = policy_sample(dist, rng.standard_normal(dist.mu.shape))
     entropy = float(np.mean(-logp))
     return float(np.mean(q_means)), float(np.mean(sigma_means)), entropy
+
+
+def _write_metrics(path: Path, rows: list[tuple]) -> None:
+    """metrics.csv whole, header and one line per eval row, written
+    atomically, so a failed or killed write leaves the previous evals."""
+    lines = [",".join(METRICS_COLUMNS)]
+    lines += [",".join(_cell(c, x) for c, x in zip(METRICS_COLUMNS, row, strict=True)) for row in rows]
+    text = "".join(line + "\n" for line in lines).encode()
+    write_atomic(path, lambda f: f.write(text))
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -200,92 +208,93 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
     critic_adam, actor_adam = agent.critics.adam[0], agent.adam_actor
 
     save_checkpoint(out / "checkpoint_0.npz", agent, cfg, env.spec)
-    curve: list[tuple[int, float]] = []  # (env_steps, avg_return) per eval
+    rows: list[tuple] = []  # one per eval, in METRICS_COLUMNS order
     metrics_path = out / "metrics.csv"
+    _write_metrics(metrics_path, rows)
     stopped_early = False
 
-    with metrics_path.open("w") as metrics_file:
-        metrics_file.write(",".join(METRICS_COLUMNS) + "\n")
-        obs = env.reset(int(streams["env"].integers(0, 2**63)))
-        for iteration in range(1, cfg.total_iterations + 1):
-            for _ in range(cfg.samples_per_iteration):
-                a, _ = act_stochastic(agent.phi, obs, streams["policy"])
-                obs2, r, done, truncated = env.step(a)
-                buffer.push(obs, a, r * cfg.reward_scale, obs2, done)
-                if done or truncated:
-                    obs = env.reset(int(streams["env"].integers(0, 2**63)))
-                else:
-                    obs = obs2
-            if buffer.count >= cfg.warm_size:
-                for _ in range(cfg.updates):
-                    batch = buffer.sample(cfg.batch_size, streams["replay"])
-                    update_step(
+    obs = env.reset(int(streams["env"].integers(0, 2**63)))
+    for iteration in range(1, cfg.total_iterations + 1):
+        for _ in range(cfg.samples_per_iteration):
+            a, _ = act_stochastic(agent.phi, obs, streams["policy"])
+            obs2, r, done, truncated = env.step(a)
+            buffer.push(obs, a, r * cfg.reward_scale, obs2, done)
+            if done or truncated:
+                obs = env.reset(int(streams["env"].integers(0, 2**63)))
+            else:
+                obs = obs2
+        if buffer.count >= cfg.warm_size:
+            for _ in range(cfg.updates):
+                batch = buffer.sample(cfg.batch_size, streams["replay"])
+                update_step(
+                    agent.critics,
+                    batch,
+                    agent.phi_bar,
+                    agent.alpha,
+                    cfg,
+                    streams["targets"],
+                )
+                if critic_adam.step % cfg.policy_delay == 0:
+                    s_batch = batch.s
+                    grads = actor_gradient(
+                        agent.phi,
+                        s_batch,
                         agent.critics,
-                        batch,
-                        agent.phi_bar,
                         agent.alpha,
-                        cfg,
-                        streams["targets"],
+                        streams["actor_noise"],
+                        active,
                     )
-                    if critic_adam.step % cfg.policy_delay == 0:
-                        s_batch = batch.s
-                        grads = actor_gradient(
-                            agent.phi,
-                            s_batch,
-                            agent.critics,
-                            agent.alpha,
-                            streams["actor_noise"],
-                            active,
-                        )
-                        adam_step(actor_adam, agent.phi, grads, cfg.lr_actor)
-                        dist = policy_forward(agent.phi, s_batch)
-                        noise = streams["temp_noise"].standard_normal(dist.mu.shape)
-                        _, logp = policy_sample(dist, noise)
-                        agent.alpha = temperature_update(agent.alpha, logp, target_entropy, cfg.lr_alpha)
-                        for i in active:
-                            soft_update(agent.critics.theta[i], agent.critics.theta_bar[i], cfg.tau)
-                        soft_update(agent.phi, agent.phi_bar, cfg.tau)
-            agent.iteration = iteration
+                    adam_step(actor_adam, agent.phi, grads, cfg.lr_actor)
+                    dist = policy_forward(agent.phi, s_batch)
+                    noise = streams["temp_noise"].standard_normal(dist.mu.shape)
+                    _, logp = policy_sample(dist, noise)
+                    agent.alpha = temperature_update(agent.alpha, logp, target_entropy, cfg.lr_alpha)
+                    for i in active:
+                        soft_update(agent.critics.theta[i], agent.critics.theta_bar[i], cfg.tau)
+                    soft_update(agent.phi, agent.phi_bar, cfg.tau)
+        agent.iteration = iteration
 
-            if not params_all_finite(agent.phi) or not all(
-                params_all_finite(agent.critics.theta[i]) for i in active
-            ):
-                raise NumericalError(
-                    f"non-finite parameters at iteration {iteration} "
-                    f"(alpha={agent.alpha:.3g}, b={agent.critics.b}, "
-                    f"omega={agent.critics.omega})"
-                )
+        if not params_all_finite(agent.phi) or not all(
+            params_all_finite(agent.critics.theta[i]) for i in active
+        ):
+            raise NumericalError(
+                f"non-finite parameters at iteration {iteration} "
+                f"(alpha={agent.alpha:.3g}, b={agent.critics.b}, "
+                f"omega={agent.critics.omega})"
+            )
 
-            if iteration % cfg.eval_interval == 0 or iteration == cfg.total_iterations:
-                eval_index = -(-iteration // cfg.eval_interval)  # evals so far, this one included
-                env_steps = iteration * cfg.samples_per_iteration
-                avg_return, _ = evaluate_policy(
-                    agent.phi,
-                    env,
-                    cfg.eval_episodes,
-                    deterministic=True,
-                    seed_parts=(cfg.seed, _EVAL_TAG, eval_index),
-                )
-                q_mean, sigma_mean, entropy = _probe_metrics(
-                    agent, buffer, cfg, active, eval_index
-                )
-                row = (
-                    iteration, env_steps, avg_return, q_mean, sigma_mean, agent.alpha,
-                    *agent.critics.b, *agent.critics.omega, entropy, None,  # no bias_estimate yet
-                )
-                metrics_file.write(",".join(_cell(c, x) for c, x in zip(METRICS_COLUMNS, row, strict=True)) + "\n")
-                metrics_file.flush()
-                curve.append((env_steps, avg_return))
-                if cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0:
-                    save_checkpoint(out / f"checkpoint_{iteration}.npz", agent, cfg, env.spec)
-                if cfg.stop_return is not None and avg_return >= cfg.stop_return:
-                    stopped_early = True
-                    break
+        if iteration % cfg.eval_interval == 0 or iteration == cfg.total_iterations:
+            eval_index = -(-iteration // cfg.eval_interval)  # evals so far, this one included
+            env_steps = iteration * cfg.samples_per_iteration
+            avg_return, _ = evaluate_policy(
+                agent.phi,
+                env,
+                cfg.eval_episodes,
+                deterministic=True,
+                seed_parts=(cfg.seed, _EVAL_TAG, eval_index),
+            )
+            q_mean, sigma_mean, entropy = _probe_metrics(
+                agent, buffer, cfg, active, eval_index
+            )
+            row = (
+                iteration, env_steps, avg_return, q_mean, sigma_mean, agent.alpha,
+                *agent.critics.b, *agent.critics.omega, entropy, None,  # no bias_estimate yet
+            )
+            rows.append(row)
+            _write_metrics(metrics_path, rows)
+            if cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0:
+                save_checkpoint(out / f"checkpoint_{iteration}.npz", agent, cfg, env.spec)
+            if cfg.stop_return is not None and avg_return >= cfg.stop_return:
+                stopped_early = True
+                break
 
     checkpoint = f"checkpoint_{agent.iteration}.npz"
     save_checkpoint(out / checkpoint, agent, cfg, env.spec)
-    if curve:
-        steps, returns = zip(*curve)
+    final_return = None
+    if rows:
+        columns = dict(zip(METRICS_COLUMNS, zip(*rows)))
+        steps, returns = columns["env_steps"], columns["avg_return"]
+        final_return = returns[-1]
         write_line_chart(
             out / "curves.svg", {"avg_return": (steps, returns)}, f"{cfg.algorithm} on {cfg.env}", "env steps", "return"
         )
@@ -297,7 +306,7 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
         "env_steps": agent.iteration * cfg.samples_per_iteration,
         "critic_updates": critic_adam.step,
         "actor_updates": actor_adam.step,
-        "final_return": curve[-1][1] if curve else None,
+        "final_return": final_return,
         "final_alpha": agent.alpha,
         "stopped_early": stopped_early,
         "runtime_s": time.perf_counter() - started,

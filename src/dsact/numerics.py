@@ -24,13 +24,18 @@ goes in as a 1-row batch (``obs[None]``) and its row 0 comes back.
 
 A name in `dsact` exists only if engine code, the CLI or the benchmark
 (`perfbench/`) calls it, or if it is a judge the tests hold production
-to: the oracles, `critic._assemble_fixed_boundary_gradient`,
-`gelu`/`gelu_grad` as the named form of the production GELU, and
-`distributions.policy_logprob` as the named form of the log density
-`policy_sample` returns. Tests reach everything else through the
-production API: `.flat`, `.layout`, `Layout.weight_views`/`bias_views`
-and `ParamSet.layers`; `tests/conftest.py` builds networks from `Layer`
-lists itself.
+to: the oracles (`finite_diff_grad`, `numeric_soft_q`),
+`critic._assemble_fixed_boundary_gradient`, `gelu`/`gelu_grad` as the
+named form of the production GELU, `distributions.policy_logprob` as
+the named form of the log density `policy_sample` returns, and
+`environments.point_robot_reference_action`, the controller that
+validates the point-robot fixture. Each name has one import path, the
+module that defines it: the package namespace (`dsact/__init__.py`)
+re-exports nothing and binds only `__version__`.
+`tests/test_name_rule.py` checks both rules with an AST scan. Tests
+reach everything else through the production API: `.flat`, `.layout`,
+`Layout.weight_views`/`bias_views` and `ParamSet.layers`;
+`tests/conftest.py` builds networks from `Layer` lists itself.
 """
 
 from __future__ import annotations

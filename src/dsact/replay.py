@@ -3,7 +3,10 @@
 Transitions live in one ring array per field. The arrays are allocated
 with `np.empty` on the first push, sized from that push's state and
 action, and a row is written only when a transition lands in it, so an
-unfilled buffer costs address space but no resident memory.
+unfilled buffer costs address space but no resident memory. One
+counter, the number of pushes, places every row: the buffer holds
+min(pushes, capacity) rows, and push k (from 0) lands in slot
+k mod capacity, so once full each push overwrites the oldest row.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ class ReplayBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
         self._rows: Batch | None = None
-        self._count = 0
-        self._cursor = 0
+        self._pushes = 0
 
     @property
     def count(self) -> int:
-        return self._count
+        return min(self._pushes, self.capacity)
 
     def _allocate(self, s_shape, a_shape) -> Batch:
         c = self.capacity
@@ -62,12 +64,8 @@ class ReplayBuffer:
             rows = self._rows = self._allocate(np.shape(s), np.shape(a))
         elif np.shape(s) != rows.s.shape[1:] or np.shape(a) != rows.a.shape[1:]:
             raise ValueError("transition dimensions do not match buffer contents")
-        if self._count < self.capacity:
-            i = self._count
-            self._count += 1
-        else:
-            i = self._cursor
-            self._cursor = (self._cursor + 1) % self.capacity
+        i = self._pushes % self.capacity
+        self._pushes += 1
         rows.s[i] = s
         rows.a[i] = a
         rows.r[i] = r
@@ -81,9 +79,9 @@ class ReplayBuffer:
         rows as a fancy index, at about a third of its cost on a 2-d field."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self._count == 0:
+        if self._pushes == 0:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self._count, size=n)
+        idx = rng.integers(0, self.count, size=n)
         rows = self._rows
         return Batch(
             rows.s.take(idx, axis=0),
@@ -97,6 +95,6 @@ class ReplayBuffer:
         """Views of the filled rows in slot order (not insertion order)."""
         if self._rows is None:
             raise ValueError("the buffer is empty")
-        k = self._count
+        k = self.count
         rows = self._rows
         return Batch(rows.s[:k], rows.a[:k], rows.r[:k], rows.s_next[:k], rows.done[:k])

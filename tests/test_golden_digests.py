@@ -1,11 +1,16 @@
-"""The same bytes: eight small training arms against recorded digests.
+"""The same bytes: eight small training arms and the two rollout paths
+against recorded values.
 
 Each arm trains a tiny pendulum agent and its `metrics.csv` sha256 is
-compared with `tests/data/golden_digests.json`. Float results depend on
-the numpy, scipy and BLAS builds and on the Python version, so the file
-is keyed by all four. On a key with no record the test checks only that
-two runs of each arm agree, and skips with this machine's digests: the
-byte claim was not checked there.
+compared with `tests/data/golden_digests.json`. The `dsact` arm's final
+checkpoint then pins the two rollout paths: the sha256 of a tiny
+`measure_bias` report (``[mean_bias, pairs, horizon]`` as JSON, hashed
+as `perfbench/repeat.py` hashes it) and the `evaluate()` mean and std,
+deterministic and stochastic. Float results depend on the numpy, scipy
+and BLAS builds and on the Python version, so the file is keyed by all
+four. On a key with no record the test checks only that two runs agree,
+and skips with this machine's values: the byte claim was not checked
+there.
 
 A change that moves the bytes on purpose re-pins them by running this
 file as a script (``PYTHONPATH=src python tests/test_golden_digests.py``),
@@ -25,7 +30,7 @@ import pytest
 import scipy
 
 from dsact.config import config_from_dict
-from dsact.harness import train
+from dsact.harness import evaluate, measure_bias, train
 
 GOLDEN = Path(__file__).parent / "data" / "golden_digests.json"
 
@@ -64,27 +69,56 @@ def machine_key() -> str:
     return f"numpy {np.__version__} | scipy {scipy.__version__} | {blas_id} | python {platform.python_version()}"
 
 
+def train_arm(root: Path, arm: str) -> Path:
+    """Train one arm under ``root``; returns its run directory."""
+    out = root / arm
+    train(config_from_dict({**BASE, **ARMS[arm], "out_dir": str(out)}))
+    return out
+
+
 def arm_digests(root: Path) -> dict[str, str]:
-    digests = {}
-    for arm, overrides in ARMS.items():
-        out = root / arm
-        train(config_from_dict({**BASE, **overrides, "out_dir": str(out)}))
-        digests[arm] = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
-    return digests
+    return {
+        arm: hashlib.sha256((train_arm(root, arm) / "metrics.csv").read_bytes()).hexdigest()
+        for arm in ARMS
+    }
+
+
+def rollout_values(run_dir: Path) -> dict:
+    """The bias report digest and the evaluate() (mean, std) pairs of
+    the final checkpoint in a trained run directory."""
+    checkpoint = run_dir / json.loads((run_dir / "summary.json").read_text())["checkpoint"]
+    report = measure_bias(checkpoint, n_samples=3, n_rollouts=2, seed=0)
+    report_bytes = json.dumps([report.mean_bias, report.pairs, report.horizon]).encode()
+    return {
+        "bias-report": hashlib.sha256(report_bytes).hexdigest(),
+        "evaluate-deterministic": list(evaluate(checkpoint, episodes=3, deterministic=True, seed=0)),
+        "evaluate-stochastic": list(evaluate(checkpoint, episodes=3, deterministic=False, seed=0)),
+    }
+
+
+def check_against_record(got: dict, again) -> None:
+    """Compare with this machine's record, or, with none, check that a
+    second run (``again()``) agrees and skip."""
+    key = machine_key()
+    recorded = json.loads(GOLDEN.read_text()).get(key)
+    if recorded is not None:
+        assert got == {name: recorded.get(name) for name in got}
+        return
+    assert again() == got
+    pytest.skip(
+        f"byte claim not checked: no golden digests for {key!r}; "
+        f"two runs agree, values here: {json.dumps(got)}"
+    )
 
 
 def test_small_arms_keep_their_bytes(tmp_path):
     got = arm_digests(tmp_path / "first")
-    key = machine_key()
-    recorded = json.loads(GOLDEN.read_text()).get(key)
-    if recorded is not None:
-        assert got == recorded
-        return
-    assert arm_digests(tmp_path / "second") == got
-    pytest.skip(
-        f"byte claim not checked: no golden digests for {key!r}; "
-        f"two runs agree, digests here: {json.dumps(got)}"
-    )
+    check_against_record(got, lambda: arm_digests(tmp_path / "second"))
+
+
+def test_rollout_paths_keep_their_values(tmp_path):
+    run_dir = train_arm(tmp_path, "dsact")
+    check_against_record(rollout_values(run_dir), lambda: rollout_values(run_dir))
 
 
 if __name__ == "__main__":
@@ -92,6 +126,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = arm_digests(Path(tmp))
+        digests.update(rollout_values(Path(tmp) / "dsact"))
     doc = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     doc[machine_key()] = digests
     GOLDEN.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

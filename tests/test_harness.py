@@ -459,6 +459,38 @@ class TestTrain:
         assert svg.startswith("<svg") and "avg_return" in svg
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
+    def test_failed_metrics_write_keeps_the_earlier_rows(self, tmp_path, monkeypatch):
+        """metrics.csv is replaced whole at each eval: when writing the
+        second eval's row fails mid-write, the file holds exactly the
+        header and the first row."""
+        train(tiny_cfg(tmp_path / "whole", total_iterations=4))
+        header, first, _ = (tmp_path / "whole" / "run" / "metrics.csv").read_text().splitlines(keepends=True)
+
+        class TornFile:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        metrics_writes = []
+
+        def failing_second_row(path, write):
+            if Path(path).name == "metrics.csv":
+                metrics_writes.append(path)
+                if len(metrics_writes) == 3:  # the header, the first eval, the second eval
+                    return write_atomic(path, lambda f: write(TornFile(f)))
+            return write_atomic(path, write)
+
+        monkeypatch.setattr(harness, "write_atomic", failing_second_row)
+        cfg = tiny_cfg(tmp_path / "torn", total_iterations=4)
+        with pytest.raises(OSError, match="no space"):
+            train(cfg)
+        out = Path(cfg.out_dir)
+        assert (out / "metrics.csv").read_text() == header + first
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
     def test_fixture_constants_echoed(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         summary = train(cfg)
@@ -729,6 +761,12 @@ class TestCli:
             ({"env": "cartpole"}, "unknown env 'cartpole'"),
             ({"env_overrides": {"bogus": 1}}, "env_overrides['bogus'] is not a bandit-chain parameter"),
             ({"env": "pendulum", "env_overrides": {"noise_std": 0.1}}, "env_overrides['noise_std']"),
+            # override values follow the constructor's annotation and bounds
+            ({"env_overrides": {"noise_std": "x"}}, "env_overrides['noise_std'] must be a number, got 'x'"),
+            ({"env_overrides": {"noise_std": -1.0}}, "env_overrides['noise_std'] must be >= 0, got -1.0"),
+            ({"env_overrides": {"max_episode_steps": 0}}, "env_overrides['max_episode_steps'] must be >= 1, got 0"),
+            ({"env_overrides": {"max_episode_steps": 2.5}}, "env_overrides['max_episode_steps'] must be an integer"),
+            ({"env_overrides": {"max_episode_steps": True}}, "env_overrides['max_episode_steps'] must be an integer"),
             ({"algorithm": "sac", "expected_value_substitution": False}, "expected_value_substitution=False"),
             ({"algorithm": "sac", "variance_adjustment": True}, "variance_adjustment=True"),
             ({"algorithm": "dsacv1", "twin_distributions": True}, "twin_distributions=True"),
