@@ -7,12 +7,14 @@ from pathlib import Path
 from .harness_util import write_atomic
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
+_WIDTH, _HEIGHT = 720, 440  # pixels
+_N_TICKS = 5  # intervals per axis
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    """n + 1 evenly spaced ticks from lo to hi; the caller makes hi > lo."""
-    span = (hi - lo) / n
-    return [lo + i * span for i in range(n + 1)]
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """_N_TICKS + 1 evenly spaced ticks from lo to hi; the caller makes hi > lo."""
+    span = (hi - lo) / _N_TICKS
+    return [lo + i * span for i in range(_N_TICKS + 1)]
 
 
 def write_line_chart(
@@ -21,14 +23,12 @@ def write_line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 720,
-    height: int = 440,
 ) -> None:
     """Write a multi-series line chart, atomically; series maps label ->
     (xs, ys)."""
     margin_l, margin_r, margin_t, margin_b = 70, 20, 40, 50
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys if y == y]  # drop NaN
@@ -48,10 +48,10 @@ def write_line_chart(
         return margin_t + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" font-size="15">{title}</text>',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" font-size="15">{title}</text>',
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#999"/>',
     ]
@@ -67,7 +67,7 @@ def write_line_chart(
             f'<text x="{margin_l - 8}" y="{py(t) + 4:.1f}" text-anchor="end">{t:.4g}</text>'
         )
     parts.append(
-        f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 10}" text-anchor="middle">{x_label}</text>'
+        f'<text x="{margin_l + plot_w / 2:.0f}" y="{_HEIGHT - 10}" text-anchor="middle">{x_label}</text>'
     )
     parts.append(
         f'<text x="18" y="{margin_t + plot_h / 2:.0f}" text-anchor="middle" '

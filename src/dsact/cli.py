@@ -12,7 +12,7 @@ import json
 import sys
 
 from .config import ConfigError, RunConfig, load_config
-from .harness import ABLATION_STUDIES, evaluate, measure_bias, run_ablation, train
+from .harness import STUDIES, evaluate, measure_bias, run_ablation, train
 from .numerics import NumericalError
 
 
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bias.add_argument("--seed", type=int, default=0)
 
     p_abl = sub.add_parser("ablate", help="run a comparison study")
-    p_abl.add_argument("--study", required=True, choices=ABLATION_STUDIES)
+    p_abl.add_argument("--study", required=True, choices=STUDIES)
     p_abl.add_argument("--config", required=True)
     p_abl.add_argument("--seeds", type=int, nargs="*", default=None)
     p_abl.add_argument("--out", default=None)

@@ -1,5 +1,6 @@
 """The executable training loop, evaluation, bias measurement and
-ablation studies, with CSV/JSON/SVG artifacts.
+ablation studies (`STUDIES`, arms of config fields over `train`), with
+CSV/JSON/SVG artifacts.
 
 Per iteration the loop collects a fixed number of environment steps
 with the stochastic policy, then (once the buffer is warm) runs one
@@ -96,8 +97,8 @@ def evaluate_policy(
     phi,
     env,
     episodes: int,
-    deterministic: bool = True,
-    seed_parts: tuple[int, ...] = (0,),
+    deterministic: bool,
+    seed_parts: tuple[int, ...],
 ) -> tuple[float, float]:
     """Mean and std of episode returns over fresh evaluation episodes."""
     sim = env.clone()
@@ -290,14 +291,10 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
 
     checkpoint = f"checkpoint_{agent.iteration}.npz"
     save_checkpoint(out / checkpoint, agent, cfg, env.spec)
-    final_return = None
+    curve = {c: [row[METRICS_COLUMNS.index(c)] for row in rows] for c in ("env_steps", "avg_return")}
     if rows:
-        columns = dict(zip(METRICS_COLUMNS, zip(*rows)))
-        steps, returns = columns["env_steps"], columns["avg_return"]
-        final_return = returns[-1]
-        write_line_chart(
-            out / "curves.svg", {"avg_return": (steps, returns)}, f"{cfg.algorithm} on {cfg.env}", "env steps", "return"
-        )
+        series = {"avg_return": (curve["env_steps"], curve["avg_return"])}
+        write_line_chart(out / "curves.svg", series, f"{cfg.algorithm} on {cfg.env}", "env steps", "return")
     summary = {
         "config": cfg.to_jsonable(),
         "env_fixture": env.fixture_constants(),
@@ -306,11 +303,12 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
         "env_steps": agent.iteration * cfg.samples_per_iteration,
         "critic_updates": critic_adam.step,
         "actor_updates": actor_adam.step,
-        "final_return": final_return,
+        "final_return": curve["avg_return"][-1] if rows else None,
         "final_alpha": agent.alpha,
         "stopped_early": stopped_early,
         "runtime_s": time.perf_counter() - started,
         "checkpoint": checkpoint,
+        "curve": curve,
     }
     _write_json(out / "summary.json", summary)
     return summary
@@ -374,8 +372,21 @@ def measure_bias(
     )
 
 
-ABLATION_STUDIES = ("refinements", "reward-scale")
 REWARD_SCALES = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+# study -> arm -> the config fields that arm sets over the base config
+STUDIES = {
+    "refinements": {
+        "full": {},
+        "no-evs": {"expected_value_substitution": False},
+        "single-dist": {"twin_distributions": False},
+    },
+    "reward-scale": {
+        f"scale-{s:g}-{kernel}": {"reward_scale": s, **fields}
+        for s in REWARD_SCALES
+        for kernel, fields in (("adaptive", {}), ("fixed-b", {"variance_adjustment": False}))
+    },
+}
 
 
 def run_ablation(
@@ -388,79 +399,46 @@ def run_ablation(
 
     ``refinements`` toggles off one refinement at a time;
     ``reward-scale`` crosses reward scales with the adaptive and
-    fixed-boundary kernels. Each arm's config is echoed in its own run
+    fixed-boundary kernels. Every arm x seed config is resolved before
+    the first run trains, so a bad one refuses the study with nothing
+    written, and the report is built from the return curves that the
+    runs' summaries carry. Each arm's config is echoed in its own run
     directory, so any arm reproduces independently.
     """
-    if study not in ABLATION_STUDIES:
-        raise ConfigError(f"unknown study {study!r}; choose from {ABLATION_STUDIES}")
+    if study not in STUDIES:
+        raise ConfigError(f"unknown study {study!r}; choose from {tuple(STUDIES)}")
+    if base_cfg.total_iterations < 1:
+        raise ConfigError(f"total_iterations must be >= 1 for a study, got {base_cfg.total_iterations}")
     seeds = list(seeds) if seeds else [base_cfg.seed]
     out = Path(out_dir) if out_dir else Path(base_cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if study == "refinements":
-        arms = {
-            "full": {},
-            "no-evs": {"expected_value_substitution": False},
-            "single-dist": {"twin_distributions": False},
-        }
-    else:
-        arms = {}
-        for s in REWARD_SCALES:
-            arms[f"scale-{s:g}-adaptive"] = {"reward_scale": s}
-            arms[f"scale-{s:g}-fixed-b"] = {"reward_scale": s, "variance_adjustment": False}
+    arms = {
+        arm: [
+            dataclasses.replace(base_cfg, seed=seed, out_dir=str(out / arm / f"seed{seed}"), **fields).validate()
+            for seed in seeds
+        ]
+        for arm, fields in STUDIES[study].items()
+    }
 
     report: dict = {"study": study, "seeds": seeds, "arms": {}}
-    curves: dict[str, tuple[list[float], list[float]]] = {}
-    for arm, flags in arms.items():
-        arm_runs = []
-        return_matrix = []
-        steps_axis: list[float] = []
-        for seed in seeds:
-            run_dir = out / arm / f"seed{seed}"
-            cfg_arm = dataclasses.replace(
-                base_cfg, seed=seed, out_dir=str(run_dir), **flags
-            )
-            summary = train(cfg_arm)
-            steps, returns = _read_return_curve(run_dir / "metrics.csv")
-            arm_runs.append(
-                {
-                    "seed": seed,
-                    "final_return": summary["final_return"],
-                    "run_dir": str(run_dir),
-                }
-            )
-            return_matrix.append(returns)
-            steps_axis = steps
-        n_common = min(len(r) for r in return_matrix)
-        matrix = np.array([r[:n_common] for r in return_matrix])
-        steps_axis = steps_axis[:n_common]
+    curves = {}
+    for arm, cfgs in arms.items():
+        summaries = [train(cfg) for cfg in cfgs]
+        n_common = min(len(s["curve"]["avg_return"]) for s in summaries)
+        matrix = np.array([s["curve"]["avg_return"][:n_common] for s in summaries])
+        steps = summaries[-1]["curve"]["env_steps"][:n_common]
         mean_curve = matrix.mean(axis=0)
-        mid = n_common // 2
-        aulc = float(np.trapezoid(mean_curve, steps_axis)) if n_common > 1 else float(mean_curve[0])
         report["arms"][arm] = {
-            "runs": arm_runs,
+            "runs": [
+                {"seed": cfg.seed, "final_return": s["final_return"], "run_dir": cfg.out_dir}
+                for cfg, s in zip(cfgs, summaries)
+            ],
             "mean_final_return": float(mean_curve[-1]),
-            "aulc": aulc,
-            "mid_return_variance": float(matrix[:, mid].var(ddof=1)) if len(seeds) > 1 else 0.0,
-            "mean_curve": {"env_steps": list(steps_axis), "avg_return": mean_curve.tolist()},
+            "aulc": float(np.trapezoid(mean_curve, steps)) if n_common > 1 else float(mean_curve[0]),
+            "mid_return_variance": float(matrix[:, n_common // 2].var(ddof=1)) if len(seeds) > 1 else 0.0,
+            "mean_curve": {"env_steps": steps, "avg_return": mean_curve.tolist()},
         }
-        curves[arm] = (list(steps_axis), mean_curve.tolist())
+        curves[arm] = (steps, mean_curve.tolist())
 
     _write_json(out / "report.json", report)
-    write_line_chart(
-        out / "curves.svg", curves, f"{study} study ({base_cfg.env})", "env steps", "return"
-    )
+    write_line_chart(out / "curves.svg", curves, f"{study} study ({base_cfg.env})", "env steps", "return")
     return report
-
-
-def _read_return_curve(metrics_path: Path) -> tuple[list[float], list[float]]:
-    steps, returns = [], []
-    with metrics_path.open() as f:
-        header = f.readline().strip().split(",")
-        i_steps = header.index("env_steps")
-        i_ret = header.index("avg_return")
-        for line in f:
-            cells = line.strip().split(",")
-            steps.append(float(cells[i_steps]))
-            returns.append(float(cells[i_ret]))
-    return steps, returns

@@ -9,22 +9,25 @@ the bandit chain's soft values from quadrature-backed value iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .environments import ChainSpec
 from .numerics import ParamSet
 
+# the discount mass a Monte-Carlo truth rollout may leave beyond its horizon
+_TAIL = 1e-3
 
-def truth_horizon(gamma: float, tail: float = 1e-3) -> int:
+
+def truth_horizon(gamma: float) -> int:
     """Smallest T >= 1 with gamma^T below the tail mass cutoff."""
     if not 0 <= gamma < 1:
         raise ValueError("gamma must be in [0, 1)")
     if gamma == 0:
         return 1
-    t = math.floor(math.log(tail) / math.log(gamma)) + 1
-    while gamma**t >= tail:  # guard the edge of floor rounding
+    t = math.floor(math.log(_TAIL) / math.log(gamma)) + 1
+    while gamma**t >= _TAIL:  # guard the edge of floor rounding
         t += 1
     return max(t, 1)
 
@@ -55,18 +58,17 @@ def mc_true_q(
     gamma: float,
     alpha: float,
     rng: np.random.Generator,
-    tail: float = 1e-3,
 ) -> float:
     """Monte-Carlo soft Q at a forced (state, action) start.
 
     ``policy`` is a callable (obs, rng) -> (action, logp); entropy
     bonuses enter from the first policy-chosen action on, never for the
     queried action itself. The rollout horizon is where the discount
-    tail drops below ``tail``, so truncation error is bounded uniformly.
+    tail drops below 1e-3, so truncation error is bounded uniformly.
     Only ``done`` ends a rollout early; the env's time limit does not.
     """
     start_state, start_action = start
-    horizon = truth_horizon(gamma, tail)
+    horizon = truth_horizon(gamma)
     total = 0.0
     for _ in range(n_rollouts):
         sim = env.clone()
@@ -209,9 +211,9 @@ class BiasReport:
     """Mean gap between critic estimates and Monte-Carlo truth."""
 
     mean_bias: float
-    pairs: list[tuple[float, float]] = field(default_factory=list)
-    n_rollouts: int = 0
-    horizon: int = 0
+    pairs: list[tuple[float, float]]
+    n_rollouts: int
+    horizon: int
 
     def sem(self) -> float:
         diffs = np.array([e - t for e, t in self.pairs])

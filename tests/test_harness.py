@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import io
 import json
@@ -609,6 +610,30 @@ class TestAblation:
         assert (tmp_path / "study" / "report.json").exists()
         assert (tmp_path / "study" / "curves.svg").exists()
 
+    def test_report_numbers_recomputed_from_metrics_csv(self, tmp_path):
+        """Every number of report.json follows from the arm's own
+        metrics.csv files: the seed-mean curve, its trapezoid AULC, the
+        seed variance at the middle eval and the mean final return."""
+        cfg = tiny_cfg(tmp_path, total_iterations=6)
+        run_ablation("refinements", cfg, seeds=[7, 8], out_dir=tmp_path / "study")
+        report = json.loads((tmp_path / "study" / "report.json").read_text())
+        assert list(report["arms"]) == ["full", "no-evs", "single-dist"]
+        for arm, info in report["arms"].items():
+            steps, returns = [], []
+            for seed in (7, 8):
+                with (tmp_path / "study" / arm / f"seed{seed}" / "metrics.csv").open(newline="") as f:
+                    rows = list(csv.DictReader(f))
+                steps.append([int(row["env_steps"]) for row in rows])
+                returns.append([float(row["avg_return"]) for row in rows])
+            assert steps[0] == steps[1] == [40, 80, 120]
+            matrix = np.array(returns)
+            mean_curve = matrix.mean(axis=0)
+            assert info["mean_curve"] == {"env_steps": steps[0], "avg_return": mean_curve.tolist()}
+            assert info["aulc"] == float(np.trapezoid(mean_curve, steps[0]))
+            assert info["mid_return_variance"] == float(matrix[:, 1].var(ddof=1))
+            assert info["mean_final_return"] == float(np.mean(matrix[:, -1]))
+            assert [run["final_return"] for run in info["runs"]] == [r[-1] for r in returns]
+
     def test_reward_scale_study_grid(self, tmp_path):
         cfg = tiny_cfg(tmp_path, total_iterations=2)
         report = run_ablation("reward-scale", cfg, out_dir=tmp_path / "study")
@@ -799,6 +824,23 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path)]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            # the full arm would train before the no-evs arm is refused
+            ({"algorithm": "sac", "total_iterations": 1}, "sac does not accept expected_value_substitution=False"),
+            # a study's curves need at least one eval per run
+            ({}, "total_iterations must be >= 1 for a study, got 0"),
+        ],
+    )
+    def test_study_config_error_exit_code_before_any_run(self, tmp_path, capsys, overrides, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.QUICK, "eval_episodes": 1, **overrides}))
+        study = tmp_path / "study"
+        assert cli_main(["ablate", "--study", "refinements", "--config", str(cfg_path), "--out", str(study)]) == 2
+        assert named in capsys.readouterr().err
+        assert not study.exists()
 
     @pytest.mark.parametrize(
         "command, named",

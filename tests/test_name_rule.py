@@ -1,11 +1,12 @@
 """The name rule of the `numerics` docstring, checked on the source.
 
-A module-level public name in `src/dsact` exists only if engine code,
-the CLI or the benchmark (`perfbench/`) uses it, or if it is a judge the
-tests hold production to. The scan parses every module with `ast` and
-counts a name as used when it appears as a loaded name, an attribute or
-a string constant (the benchmark's tracer names its targets by string)
-anywhere in `src/dsact` or `perfbench/` outside its own definition.
+A module-level public name in `src/dsact`, and a public method of a
+class there, exists only if engine code, the CLI or the benchmark
+(`perfbench/`) uses it, or if it is a judge the tests hold production
+to. The scan parses every module with `ast` and counts a name as used
+when it appears as a loaded name, an attribute or a string constant (the
+benchmark's tracer names its targets by string) anywhere in `src/dsact`
+or `perfbench/` outside its own definition.
 Imports are not uses. The package namespace re-exports nothing, so each
 name has one import path.
 """
@@ -28,6 +29,10 @@ JUDGES = {
     "finite_diff_grad",
     "numeric_soft_q",
     "point_robot_reference_action",
+    "ReplayBuffer.contents",  # the held rows, against which eviction order is checked
+    "PendulumEnv.mechanical_energy",  # the integrator's energy drift over a free swing
+    "SoftQTable.std_at",  # the chain's exact return std, the oracle for a learned sigma
+    "SoftQTable.make_policy",  # the soft-optimal sampler that cross-checks mc_true_q
 }
 
 
@@ -44,8 +49,12 @@ def _uses(node: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) for each public name bound at module level."""
+    """(name, node) for each public name bound at module level, and
+    ("Class.method", node) for each public method of a module-level class."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            yield from ((f"{node.name}.{m.name}", m) for m in methods)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -67,13 +76,14 @@ def unused_public_names() -> list[str]:
     unused = []
     for path, tree in modules.items():
         for name, node in _definitions(tree):
-            if used[name] - _uses(node)[name] == 0:
+            bare = name.rpartition(".")[2]
+            if used[bare] - _uses(node)[bare] == 0:
                 unused.append(f"{path.stem}.{name}")
     return unused
 
 
 def test_every_public_name_is_used_or_a_judge():
-    unused = [name for name in unused_public_names() if name.rpartition(".")[2] not in JUDGES]
+    unused = [name for name in unused_public_names() if name.partition(".")[2] not in JUDGES]
     assert unused == []
 
 
