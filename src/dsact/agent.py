@@ -4,7 +4,9 @@ A checkpoint (format 2) is one uncompressed zip in ``.npz`` form. Its
 first member, ``header.json``, is UTF-8 JSON holding state only: the
 config echo, the env block (name, obs_dim, act_dim), the iteration, the
 temperature alpha, each critic's b and omega, and the Adam step counts;
-the iteration and Adam steps load only from JSON integers. Every other
+each value loads under `config.check_number`'s rule (the iteration and
+Adam steps integers >= 0, obs_dim/act_dim >= 1, alpha a positive real,
+b and omega two reals >= 0), never truncated. Every other
 member is one float64 ``.npy`` vector: a network's flat parameter
 buffer (``actor``, ``actor_target``, ``critic1``, ``critic2``,
 ``critic1_target``, ``critic2_target``) or an Adam moment buffer
@@ -26,6 +28,7 @@ stored, are ignored. JSON (format 1) checkpoints are refused.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import zipfile
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .actor import actor_sizes
-from .config import ConfigError, RunConfig, config_from_dict
+from .config import ConfigError, RunConfig, check_number, config_from_dict
 from .critic import CriticPairState, critic_sizes, init_critic_pair
 from .environments import EnvSpec
 from .harness_util import write_atomic
@@ -118,49 +121,15 @@ def _where(path) -> str:
     return "".join(f"[{k!r}]" for k in path)
 
 
-def _field(doc: dict, *path: str):
-    """doc[path[0]][path[1]]...; a missing key raises a ConfigError naming it."""
+def _field(doc: dict, *path: str, kind: str | None = None, **bound):
+    """doc[path[0]][path[1]]...; a missing key raises a ConfigError naming
+    it. Given a ``kind``, the value must pass `check_number`'s rule."""
     node = doc
     for depth, key in enumerate(path):
         if not isinstance(node, dict) or key not in node:
             raise ConfigError(f"checkpoint lacks {_where(path[: depth + 1])}")
         node = node[key]
-    return node
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(doc: dict, *path: str) -> float:
-    value = _field(doc, *path)
-    if not _is_number(value):
-        raise ConfigError(f"checkpoint {_where(path)} must be a number, got {value!r}")
-    return float(value)
-
-
-def _count(doc: dict, *path: str) -> int:
-    """The iteration or an Adam step: a non-negative JSON integer, never truncated."""
-    value = _field(doc, *path)
-    if type(value) is not int or value < 0:
-        raise ConfigError(f"checkpoint {_where(path)} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _dim(header: dict, key: str) -> int:
-    """A positive integer from the env block."""
-    value = _field(header, "env", key)
-    if type(value) is not int or value < 1:
-        raise ConfigError(f"checkpoint {_where(['env', key])} must be a positive integer, got {value!r}")
-    return value
-
-
-def _pair(doc: dict, key: str) -> list[float]:
-    """One number per critic, as floats."""
-    values = _field(doc, key)
-    if not isinstance(values, list) or len(values) != 2 or not all(map(_is_number, values)):
-        raise ConfigError(f"checkpoint {_where([key])} must be 2 numbers, got {values!r}")
-    return [float(v) for v in values]
+    return node if kind is None else check_number(f"checkpoint {_where(path)}", node, kind, **bound)
 
 
 def _buffer(npz, path: Path, name: str, layout: Layout) -> np.ndarray:
@@ -177,19 +146,27 @@ def _buffer(npz, path: Path, name: str, layout: Layout) -> np.ndarray:
     return flat
 
 
+@contextlib.contextmanager
 def _open(path: Path):
+    """The checkpoint as an open NpzFile. The file is opened here, not by
+    np.load, so it closes on leaving even when np.load cannot parse it."""
     try:
-        with path.open("rb") as f:
-            json_like = f.read(1) == b"{"
-        if not json_like:
-            npz = np.load(path, allow_pickle=False)
-    except _READ_ERRORS as exc:
+        f = path.open("rb")
+    except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    if json_like:
-        raise ConfigError(f"checkpoint {path} is JSON (format 1); JSON checkpoints are no longer read")
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise ConfigError(f"checkpoint {path} is a single .npy array, not an .npz archive")
-    return npz
+    with f:
+        try:
+            json_like = f.read(1) == b"{"
+            f.seek(0)
+            npz = None if json_like else np.load(f, allow_pickle=False)
+        except _READ_ERRORS as exc:
+            raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+        if json_like:
+            raise ConfigError(f"checkpoint {path} is JSON (format 1); JSON checkpoints are no longer read")
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ConfigError(f"checkpoint {path} is a single .npy array, not an .npz archive")
+        with npz:
+            yield npz
 
 
 def _header(npz) -> dict:
@@ -217,13 +194,20 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
             if not isinstance(cfg_echo, dict):
                 raise ConfigError("checkpoint 'config' must be an object")
             cfg = config_from_dict(cfg_echo)
-            obs_dim, act_dim = (_dim(header, key) for key in ("obs_dim", "act_dim"))
+            obs_dim, act_dim = (_field(header, "env", key, kind="int", least=1) for key in ("obs_dim", "act_dim"))
             actor = Layout.chain(actor_sizes(obs_dim, act_dim, cfg.hidden_actor))
             critic = Layout.chain(critic_sizes(obs_dim, act_dim, cfg.hidden_critic))
-            adam_steps = {name: _count(header, "adam_steps", name) for name in ADAM_NETWORKS}
-            b, omega = _pair(header, "b"), _pair(header, "omega")
-            alpha = _number(header, "alpha")
-            iteration = _count(header, "iteration")
+            adam_steps = {name: _field(header, "adam_steps", name, kind="int", least=0) for name in ADAM_NETWORKS}
+            pairs = {}  # b and omega, one per critic
+            for key in ("b", "omega"):
+                values = _field(header, key)
+                if not isinstance(values, list) or len(values) != 2:
+                    raise ConfigError(f"checkpoint {_where([key])} must be 2 numbers, got {values!r}")
+                pairs[key] = [
+                    check_number(f"checkpoint {_where([key, i])}", v, "float", least=0) for i, v in enumerate(values)
+                ]
+            alpha = _field(header, "alpha", kind="float", positive=True)
+            iteration = _field(header, "iteration", kind="int", least=0)
         except ConfigError as exc:
             raise ConfigError(f"{exc} ({path}, member {HEADER!r})") from exc
 
@@ -241,8 +225,8 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
         theta=(nets["critic1"], nets["critic2"]),
         theta_bar=(nets["critic1_target"], nets["critic2_target"]),
         adam=(adams["critic1"], adams["critic2"]),
-        b=b,
-        omega=omega,
+        b=pairs["b"],
+        omega=pairs["omega"],
     )
     agent = AgentState(
         phi=nets["actor"],

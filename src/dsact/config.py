@@ -7,6 +7,15 @@ epsilon_omega 0.1, reward scale 1, three 256-unit hidden layers).
 Configs load from JSON with unknown keys rejected. The critic kernel
 is resolved once, by `RunConfig.kernel`, from the family's base kernel
 and the refinement flags the config sets explicitly.
+
+One rule, `check_number`, holds every number read from outside: each
+numeric config field, hidden size and env override, each checkpoint
+header value and the eval/bias counts and seed. An integer is a JSON
+integer, a real any JSON number; neither is a bool, both are finite,
+and each may have a least value or have to be positive. The checkpoint
+header's iteration and Adam steps are integers >= 0, its obs_dim and
+act_dim integers >= 1, its alpha a positive real (as `alpha_init` is),
+and its b and omega two reals >= 0 each.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,9 +37,40 @@ DEFAULT_SEEDS = [12345, 22345, 32345, 42345, 52345]
 # the least value an env constructor takes for each bounded parameter
 _ENV_MINIMA = {"max_episode_steps": 1, "noise_std": 0}
 
+# the least value of each bounded numeric field, and the fields that must
+# be positive; train checkpoints when iteration % checkpoint_interval == 0,
+# so 0 would never fire and -2 every other time
+_FIELD_MINIMA = {
+    "seed": 0, "total_iterations": 0, "updates_per_iteration": 0, "eps": 0, "eps_omega": 0,
+    "policy_delay": 1, "samples_per_iteration": 1, "warm_size": 1, "buffer_capacity": 1,
+    "batch_size": 1, "eval_interval": 1, "eval_episodes": 1, "checkpoint_interval": 1,
+}
+_POSITIVE_FIELDS = {"lr_critic", "lr_actor", "lr_alpha", "alpha_init", "xi", "reward_scale", "fixed_boundary_b"}
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+def check_number(name: str, value, kind: str, least=None, positive: bool = False):
+    """``value`` as a ``kind`` ("int" or "float") under the module's rule
+    for a number from outside, a "float" returned as a float; else a
+    ConfigError naming ``name`` and the value."""
+    noun = "an integer" if kind == "int" else "a number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    integral = isinstance(value, numbers.Integral)
+    # NaN and +-inf slip past every ordered comparison (JSON reads them
+    # from the NaN/Infinity literals); a real must also fit a float
+    if not (integral and kind == "int") and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if kind == "int" and not integral:
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return value if kind == "int" else float(value)
 
 
 @dataclass
@@ -76,79 +116,37 @@ class RunConfig:
     out_dir: str = "runs/latest"
 
     def validate(self) -> "RunConfig":
-        # NaN and +-inf slip past every ordered comparison below (JSON
-        # reads them from the NaN/Infinity literals), so reject them first
+        for f in dataclasses.fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if kind in ("int", "float") and (value is not None or f.type == kind):
+                check_number(f.name, value, kind, _FIELD_MINIMA.get(f.name), f.name in _POSITIVE_FIELDS)
+        for name in ("hidden_actor", "hidden_critic"):
+            for i, h in enumerate(getattr(self, name)):
+                check_number(f"{name}[{i}]", h, "int", least=1)
         if not isinstance(self.env_overrides, dict):
             raise ConfigError("env_overrides must be an object")
-        values = [(f.name, getattr(self, f.name)) for f in dataclasses.fields(self)]
-        values += [(f"env_overrides[{k!r}]", v) for k, v in self.env_overrides.items()]
-        for name, value in values:
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
         if not isinstance(self.env, str) or self.env not in ENV_BUILDERS:
             raise ConfigError(f"unknown env {self.env!r}; choose from {sorted(ENV_BUILDERS)}")
+        # override values follow the env constructor's annotations, strings there too
         params = inspect.signature(ENV_BUILDERS[self.env]).parameters
-        for key in self.env_overrides:
+        for key, value in self.env_overrides.items():
             if key not in params:
                 raise ConfigError(
                     f"env_overrides[{key!r}] is not a {self.env} parameter; "
                     f"choose from {sorted(params)}"
                 )
-        # the ordered checks below need numbers; a bool is not one here. Fields
-        # and env parameters follow their annotations, strings in both modules
-        typed = [(f.name, f.type, getattr(self, f.name)) for f in dataclasses.fields(self)]
-        typed += [(f"env_overrides[{k!r}]", params[k].annotation, v) for k, v in self.env_overrides.items()]
-        for name, annotation, value in typed:
-            kind = annotation.removesuffix(" | None")
-            if kind not in ("int", "float") or (value is None and annotation != kind):
-                continue
-            wanted, noun = (numbers.Integral, "an integer") if kind == "int" else (numbers.Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, wanted):
-                raise ConfigError(f"{name} must be {noun}, got {value!r}")
-        for key, least in _ENV_MINIMA.items():
-            if self.env_overrides.get(key, least) < least:
-                raise ConfigError(f"env_overrides[{key!r}] must be >= {least}, got {self.env_overrides[key]!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            check_number(f"env_overrides[{key!r}]", value, params[key].annotation, _ENV_MINIMA.get(key))
         self.kernel()
         if not 0 <= self.gamma < 1:
             raise ConfigError("gamma must lie in [0, 1)")
         if not 0 < self.tau <= 1:
             raise ConfigError("tau must lie in (0, 1]")
-        for name in ("lr_critic", "lr_actor", "lr_alpha", "alpha_init", "xi", "reward_scale"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("eps", "eps_omega"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        for name in (
-            "policy_delay",
-            "samples_per_iteration",
-            "warm_size",
-            "buffer_capacity",
-            "batch_size",
-            "eval_interval",
-            "eval_episodes",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         # train updates once the buffer holds warm_size rows, which a smaller ring never does
         if self.warm_size > self.buffer_capacity:
             raise ConfigError(
                 f"warm_size {self.warm_size} exceeds buffer_capacity {self.buffer_capacity}; "
                 "training would never update"
             )
-        if self.total_iterations < 0:
-            raise ConfigError("total_iterations must be >= 0")
-        if self.updates_per_iteration is not None and self.updates_per_iteration < 0:
-            raise ConfigError("updates_per_iteration must be >= 0")
-        # train checkpoints when iteration % interval == 0: 0 would never fire, -2 every other time
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise ConfigError(f"checkpoint_interval must be null or >= 1, got {self.checkpoint_interval}")
-        if self.fixed_boundary_b <= 0:
-            raise ConfigError("fixed_boundary_b must be positive")
-        if not all(h >= 1 for h in (*self.hidden_actor, *self.hidden_critic)):
-            raise ConfigError("hidden layer sizes must be >= 1")
         return self
 
     @property
@@ -168,6 +166,8 @@ class RunConfig:
         base, toggles = FAMILIES[self.algorithm]
         flags = {name: getattr(self, name) for name in REFINEMENT_FLAGS if getattr(self, name) is not None}
         for name, value in flags.items():
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true, false or null, got {value!r}")
             if name not in toggles and value != getattr(base, name):
                 raise ConfigError(
                     f"{self.algorithm} does not accept {name}={value!r}; "
@@ -194,13 +194,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     kwargs = dict(doc)
     for key in ("hidden_actor", "hidden_critic"):
         if key in kwargs:
-            sizes = kwargs[key]
-            # int(h) would train 8.7 as 8, true as 1 and "8" as 8
-            if not isinstance(sizes, list) or not all(
-                isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in sizes
-            ):
-                raise ConfigError(f"{key} must be a list of integers, got {sizes!r}")
-            kwargs[key] = tuple(int(h) for h in sizes)
+            # validate checks each size as is: int(h) would train 8.7 as 8, true as 1
+            if not isinstance(kwargs[key], list):
+                raise ConfigError(f"{key} must be a list of integers, got {kwargs[key]!r}")
+            kwargs[key] = tuple(kwargs[key])
     try:
         cfg = RunConfig(**kwargs)
     except TypeError as exc:

@@ -24,7 +24,7 @@ from .actor import act_deterministic, act_stochastic, actor_gradient, policy_for
 from .agent import AgentState, build_agent, load_checkpoint, save_checkpoint
 from .baselines import build_variant
 from .charts import write_line_chart
-from .config import ConfigError, RunConfig, config_from_dict
+from .config import ConfigError, RunConfig, check_number, config_from_dict
 from .critic import critic_forward, soft_update
 from .distributions import policy_sample
 from .environments import make_env
@@ -112,15 +112,6 @@ def evaluate_policy(
     return float(np.mean(returns)), std
 
 
-def _check_counts(seed: int, **counts: int) -> None:
-    """Reject a negative seed or a count below one, naming the argument."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    for name, n in counts.items():
-        if n < 1:
-            raise ConfigError(f"{name} must be >= 1, got {n}")
-
-
 def _load_with_env(checkpoint: str | Path):
     """(agent, config echo, env) for a stored agent, with the env built
     from the config echo. An env whose dims differ from the header's env
@@ -139,7 +130,8 @@ def _load_with_env(checkpoint: str | Path):
 
 def evaluate(checkpoint: str | Path, episodes: int = 10, deterministic: bool = True, seed: int = 0):
     """Evaluate a stored policy in the env its config echo names."""
-    _check_counts(seed, episodes=episodes)
+    check_number("seed", seed, "int", least=0)
+    check_number("episodes", episodes, "int", least=1)
     agent, _, env = _load_with_env(checkpoint)
     return evaluate_policy(
         agent.phi, env, episodes, deterministic, seed_parts=(seed, _EVAL_TAG)
@@ -264,8 +256,10 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                 f"omega={agent.critics.omega})"
             )
 
+        if cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0:
+            save_checkpoint(out / f"checkpoint_{iteration}.npz", agent, cfg, env.spec)
         if iteration % cfg.eval_interval == 0 or iteration == cfg.total_iterations:
-            eval_index = -(-iteration // cfg.eval_interval)  # evals so far, this one included
+            eval_index = len(rows) + 1
             env_steps = iteration * cfg.samples_per_iteration
             avg_return, _ = evaluate_policy(
                 agent.phi,
@@ -283,8 +277,6 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
             )
             rows.append(row)
             _write_metrics(metrics_path, rows)
-            if cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0:
-                save_checkpoint(out / f"checkpoint_{iteration}.npz", agent, cfg, env.spec)
             if cfg.stop_return is not None and avg_return >= cfg.stop_return:
                 stopped_early = True
                 break
@@ -344,7 +336,9 @@ def measure_bias(
     Negative mean bias means underestimation. Truth rollouts follow the
     stored stochastic policy with entropy bonuses after the first step.
     """
-    _check_counts(seed, n_samples=n_samples, n_rollouts=n_rollouts)
+    check_number("seed", seed, "int", least=0)
+    check_number("n_samples", n_samples, "int", least=1)
+    check_number("n_rollouts", n_rollouts, "int", least=1)
     agent, cfg, env = _load_with_env(checkpoint)
     active = cfg.kernel().active_critics
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _BIAS_TAG, seed]))

@@ -1,9 +1,11 @@
 import copy
 import csv
 import dataclasses
+import gc
 import io
 import json
 import re
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -230,23 +232,43 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(caught.value)
 
+    def test_unreadable_checkpoint_closes_its_file(self, tmp_path):
+        """A file np.load cannot parse is closed when the load is refused,
+        not left to the garbage collector."""
+        path, _ = saved_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1000])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError, match="not a zip file"):
+                load_checkpoint(path)
+            gc.collect()
+        assert [str(w.message) for w in seen if issubclass(w.category, ResourceWarning)] == []
+
     @pytest.mark.parametrize(
         "change, named",
         [
-            (lambda h: h.update(iteration=3.7), "['iteration'] must be a non-negative integer, got 3.7"),
-            (lambda h: h.update(iteration=3.0), "['iteration'] must be a non-negative integer, got 3.0"),
-            (lambda h: h.update(iteration=True), "['iteration'] must be a non-negative integer, got True"),
-            (lambda h: h.update(iteration=-1), "['iteration'] must be a non-negative integer, got -1"),
-            (lambda h: h["adam_steps"].update(actor=2.5), "['adam_steps']['actor'] must be a non-negative integer"),
-            (lambda h: h["adam_steps"].update(critic1=1.0), "['adam_steps']['critic1'] must be a non-negative integer"),
-            (lambda h: h["adam_steps"].update(critic2=False), "['adam_steps']['critic2'] must be a non-negative integer"),
-            (lambda h: h.update(b=[1.0, True]), "['b'] must be 2 numbers"),
-            (lambda h: h.update(omega=[0.5, "1"]), "['omega'] must be 2 numbers"),
+            (lambda h: h.update(iteration=3.7), "['iteration'] must be an integer, got 3.7"),
+            (lambda h: h.update(iteration=3.0), "['iteration'] must be an integer, got 3.0"),
+            (lambda h: h.update(iteration=True), "['iteration'] must be an integer, got True"),
+            (lambda h: h.update(iteration=-1), "['iteration'] must be >= 0, got -1"),
+            (lambda h: h["adam_steps"].update(actor=2.5), "['adam_steps']['actor'] must be an integer, got 2.5"),
+            (lambda h: h["adam_steps"].update(critic1=1.0), "['adam_steps']['critic1'] must be an integer, got 1.0"),
+            (lambda h: h["adam_steps"].update(critic2=False), "['adam_steps']['critic2'] must be an integer, got False"),
+            (lambda h: h.update(b=[1.0, True]), "['b'][1] must be a number, got True"),
+            (lambda h: h.update(omega=[0.5, "1"]), "['omega'][1] must be a number, got '1'"),
+            # the temperature is a factor of every soft target and Monte-Carlo truth
+            (lambda h: h.update(alpha=float("nan")), "['alpha'] must be finite, got nan"),
+            (lambda h: h.update(alpha=-1.0), "['alpha'] must be positive, got -1.0"),
+            (lambda h: h.update(alpha=0), "['alpha'] must be positive, got 0"),
+            (lambda h: h.update(b=[float("inf"), 0]), "['b'][0] must be finite, got inf"),
+            (lambda h: h.update(omega=[-3.0, 0]), "['omega'][0] must be >= 0, got -3.0"),
+            (lambda h: h["env"].update(obs_dim=3.0), "['env']['obs_dim'] must be an integer, got 3.0"),
         ],
     )
     def test_counters_and_steps_are_not_coerced(self, tmp_path, change, named):
-        """The iteration and Adam steps load only from JSON integers and
-        b/omega only from JSON numbers; nothing is truncated or cast."""
+        """Each header value loads under config's rule for a number from
+        outside: the iteration and Adam steps are integers >= 0, alpha a
+        positive real, b/omega reals >= 0; nothing is truncated or cast."""
         path, _ = saved_checkpoint(tmp_path)
         rewrite_checkpoint(path, edit_header(change))
         with pytest.raises(ConfigError, match=re.escape(named)) as caught:
@@ -414,6 +436,14 @@ class TestTrain:
         assert summary["env_steps"] == 0
         echo = json.loads((out / "summary.json").read_text())["config"]
         assert echo["seed"] == cfg.seed
+
+    def test_checkpoint_interval_fires_off_eval_iterations(self, tmp_path):
+        """train checkpoints on every multiple of checkpoint_interval,
+        whether or not an eval falls there, and after the last iteration."""
+        cfg = tiny_cfg(tmp_path, total_iterations=7, eval_interval=2, checkpoint_interval=3)
+        train(cfg)
+        saved = {int(p.stem.removeprefix("checkpoint_")) for p in Path(cfg.out_dir).glob("checkpoint_*.npz")}
+        assert saved == {0, 3, 6, 7}
 
     def test_no_updates_before_warm(self, tmp_path):
         cfg = tiny_cfg(tmp_path, warm_size=1000, total_iterations=3)
@@ -806,14 +836,20 @@ class TestCli:
             ({"gamma": "0.9"}, "gamma must be a number"),
             ({"tau": False}, "tau must be a number"),
             # hidden sizes are lists of integers, never truncated or coerced
-            ({"hidden_actor": [8.7, True]}, "hidden_actor must be a list of integers, got [8.7, True]"),
-            ({"hidden_actor": ["8"]}, "hidden_actor must be a list of integers, got ['8']"),
+            ({"hidden_actor": [8.7, True]}, "hidden_actor[0] must be an integer, got 8.7"),
+            ({"hidden_actor": ["8"]}, "hidden_actor[0] must be an integer, got '8'"),
             ({"hidden_actor": 8}, "hidden_actor must be a list of integers, got 8"),
-            ({"hidden_critic": [4, False]}, "hidden_critic must be a list of integers"),
-            ({"hidden_critic": [4.0]}, "hidden_critic must be a list of integers"),
+            ({"hidden_critic": [4, False]}, "hidden_critic[1] must be an integer, got False"),
+            ({"hidden_critic": [4.0]}, "hidden_critic[0] must be an integer, got 4.0"),
+            ({"hidden_critic": [4, 0]}, "hidden_critic[1] must be >= 1, got 0"),
             # train checkpoints when iteration % interval == 0
-            ({"checkpoint_interval": -2}, "checkpoint_interval must be null or >= 1, got -2"),
-            ({"checkpoint_interval": 0}, "checkpoint_interval must be null or >= 1, got 0"),
+            ({"checkpoint_interval": -2}, "checkpoint_interval must be >= 1, got -2"),
+            ({"checkpoint_interval": 0}, "checkpoint_interval must be >= 1, got 0"),
+            ({"alpha_init": 0}, "alpha_init must be positive, got 0"),
+            ({"lr_critic": -1e-4}, "lr_critic must be positive, got -0.0001"),
+            # a real must fit a float, and a refinement flag is a bool or null
+            ({"alpha_init": 10**400}, "alpha_init must be finite"),
+            ({"twin_distributions": 0.5}, "twin_distributions must be true, false or null, got 0.5"),
             # a ring smaller than the warm-up never fills it, so no update would run
             ({"warm_size": 200, "buffer_capacity": 100}, "warm_size 200 exceeds buffer_capacity 100"),
         ],
@@ -878,7 +914,17 @@ class TestCli:
         ckpt, _ = saved_checkpoint(tmp_path)
         rewrite_checkpoint(ckpt, edit_header(lambda header: header["adam_steps"].update(actor=2.5)))
         assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
-        assert "['adam_steps']['actor'] must be a non-negative integer, got 2.5" in capsys.readouterr().err
+        assert "['adam_steps']['actor'] must be an integer, got 2.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
+    def test_nan_temperature_exit_code(self, tmp_path, capsys, command):
+        """A NaN alpha would turn every soft target and Monte-Carlo truth
+        into NaN; the checkpoint is refused instead."""
+        ckpt, _ = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(ckpt, edit_header(lambda header: header.update(alpha=float("nan"))))
+        assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "checkpoint ['alpha'] must be finite, got nan" in captured.err and captured.out == ""
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["train", "--config", str(tmp_path / "nope.json")]) == 2
