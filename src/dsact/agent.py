@@ -20,8 +20,9 @@ layout from the config echo's hidden sizes and the env block's dims
 (`actor_sizes`, `critic_sizes`; GELU on every layer but the last), as
 `build_agent` does; the env step count from the iteration; whether a
 critic's b and omega have been seeded from its Adam step count. An echo
-that contradicts the buffers fails the buffer length check. Keys a
-header does not need, such as the network shapes, the target entropy,
+that contradicts the buffers fails the buffer length check, and one
+whose env has other dims than the env block fails the dims check. Keys
+a header does not need, such as the network shapes, the target entropy,
 the env step count and the per-critic stats flags earlier writers
 stored, are ignored. JSON (format 1) checkpoints are refused.
 """
@@ -39,7 +40,7 @@ import numpy as np
 from .actor import actor_sizes
 from .config import ConfigError, RunConfig, check_number, config_from_dict
 from .critic import CriticPairState, critic_sizes, init_critic_pair
-from .environments import EnvSpec
+from .environments import BanditChainEnv, EnvSpec, PendulumEnv, PointRobotEnv, make_env
 from .harness_util import write_atomic
 from .numerics import AdamState, Layout, ParamSet, init_mlp
 
@@ -181,11 +182,11 @@ def _header(npz) -> dict:
     return header
 
 
-def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
-    """Rebuild the agent; returns (agent, header) so callers can read the
-    config echo and env block. A file that does not hold a complete,
-    consistently shaped agent raises a ConfigError naming the file and
-    the member."""
+def load_checkpoint(path: str | Path) -> tuple[AgentState, RunConfig, PendulumEnv | PointRobotEnv | BanditChainEnv]:
+    """The stored run as (agent, config echo, env), the env built once
+    from the echo. A file that does not hold a complete, consistently
+    shaped agent raises a ConfigError naming the file and the member; an
+    echoed env whose dims differ from the env block, one naming both."""
     path = Path(path)
     with _open(path) as npz:
         try:
@@ -221,6 +222,13 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
             m, v = (_buffer(npz, path, f"adam.{name}.{k}", nets[name].layout) for k in "mv")
             adams[name] = AdamState(m, v, adam_steps[name])
 
+    env = make_env(cfg.env, cfg.env_overrides)
+    if (env.spec.obs_dim, env.spec.act_dim) != (obs_dim, act_dim):
+        raise ConfigError(
+            f"env {env.spec.name!r} dims (obs_dim, act_dim) = ({env.spec.obs_dim}, {env.spec.act_dim}) "
+            f"do not match checkpoint {path} ({obs_dim}, {act_dim})"
+        )
+
     critics = CriticPairState(
         theta=(nets["critic1"], nets["critic2"]),
         theta_bar=(nets["critic1_target"], nets["critic2_target"]),
@@ -236,4 +244,4 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, dict]:
         alpha=alpha,
         iteration=iteration,
     )
-    return agent, header
+    return agent, cfg, env

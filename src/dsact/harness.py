@@ -24,7 +24,7 @@ from .actor import act_deterministic, act_stochastic, actor_gradient, policy_for
 from .agent import AgentState, build_agent, load_checkpoint, save_checkpoint
 from .baselines import build_variant
 from .charts import write_line_chart
-from .config import ConfigError, RunConfig, check_number, config_from_dict
+from .config import ConfigError, RunConfig, check_number
 from .critic import critic_forward, soft_update
 from .distributions import policy_sample
 from .environments import make_env
@@ -112,27 +112,11 @@ def evaluate_policy(
     return float(np.mean(returns)), std
 
 
-def _load_with_env(checkpoint: str | Path):
-    """(agent, config echo, env) for a stored agent, with the env built
-    from the config echo. An env whose dims differ from the header's env
-    block is a ConfigError naming both."""
-    agent, header = load_checkpoint(checkpoint)
-    cfg = config_from_dict(header["config"])
-    env = make_env(cfg.env, cfg.env_overrides)
-    stored = (header["env"]["obs_dim"], header["env"]["act_dim"])
-    if (env.spec.obs_dim, env.spec.act_dim) != stored:
-        raise ConfigError(
-            f"env {env.spec.name!r} dims (obs_dim, act_dim) = ({env.spec.obs_dim}, {env.spec.act_dim}) "
-            f"do not match checkpoint {checkpoint} ({stored[0]}, {stored[1]})"
-        )
-    return agent, cfg, env
-
-
 def evaluate(checkpoint: str | Path, episodes: int = 10, deterministic: bool = True, seed: int = 0):
     """Evaluate a stored policy in the env its config echo names."""
     check_number("seed", seed, "int", least=0)
     check_number("episodes", episodes, "int", least=1)
-    agent, _, env = _load_with_env(checkpoint)
+    agent, _, env = load_checkpoint(checkpoint)
     return evaluate_policy(
         agent.phi, env, episodes, deterministic, seed_parts=(seed, _EVAL_TAG)
     )
@@ -200,7 +184,9 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
     # every update steps critic 1's Adam, and every actor update the actor's
     critic_adam, actor_adam = agent.critics.adam[0], agent.adam_actor
 
-    save_checkpoint(out / "checkpoint_0.npz", agent, cfg, env.spec)
+    # a checkpoint at iteration 0, each multiple of checkpoint_interval and the iteration the run ends at, each once
+    checkpoint = "checkpoint_0.npz"
+    save_checkpoint(out / checkpoint, agent, cfg, env.spec)
     rows: list[tuple] = []  # one per eval, in METRICS_COLUMNS order
     metrics_path = out / "metrics.csv"
     _write_metrics(metrics_path, rows)
@@ -256,8 +242,6 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
                 f"omega={agent.critics.omega})"
             )
 
-        if cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0:
-            save_checkpoint(out / f"checkpoint_{iteration}.npz", agent, cfg, env.spec)
         if iteration % cfg.eval_interval == 0 or iteration == cfg.total_iterations:
             eval_index = len(rows) + 1
             env_steps = iteration * cfg.samples_per_iteration
@@ -277,12 +261,14 @@ def _train_inner(cfg: RunConfig, out: Path) -> dict:
             )
             rows.append(row)
             _write_metrics(metrics_path, rows)
-            if cfg.stop_return is not None and avg_return >= cfg.stop_return:
-                stopped_early = True
-                break
+            stopped_early = cfg.stop_return is not None and avg_return >= cfg.stop_return
+        last = stopped_early or iteration == cfg.total_iterations
+        if last or (cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0):
+            checkpoint = f"checkpoint_{iteration}.npz"
+            save_checkpoint(out / checkpoint, agent, cfg, env.spec)
+        if stopped_early:
+            break
 
-    checkpoint = f"checkpoint_{agent.iteration}.npz"
-    save_checkpoint(out / checkpoint, agent, cfg, env.spec)
     curve = {c: [row[METRICS_COLUMNS.index(c)] for row in rows] for c in ("env_steps", "avg_return")}
     if rows:
         series = {"avg_return": (curve["env_steps"], curve["avg_return"])}
@@ -339,7 +325,7 @@ def measure_bias(
     check_number("seed", seed, "int", least=0)
     check_number("n_samples", n_samples, "int", least=1)
     check_number("n_rollouts", n_rollouts, "int", least=1)
-    agent, cfg, env = _load_with_env(checkpoint)
+    agent, cfg, env = load_checkpoint(checkpoint)
     active = cfg.kernel().active_critics
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _BIAS_TAG, seed]))
     pairs = collect_on_policy_pairs(env.clone(), agent.phi, n_samples, rng)
@@ -404,6 +390,8 @@ def run_ablation(
     if base_cfg.total_iterations < 1:
         raise ConfigError(f"total_iterations must be >= 1 for a study, got {base_cfg.total_iterations}")
     seeds = list(seeds) if seeds else [base_cfg.seed]
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must differ, got {seeds}: a repeated seed trains one run directory twice")
     out = Path(out_dir) if out_dir else Path(base_cfg.out_dir)
     arms = {
         arm: [

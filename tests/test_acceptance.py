@@ -24,7 +24,7 @@ from dsact.critic import (
     _coeff_arrays,
 )
 from dsact.distributions import LOG_STD_MAX, LOG_STD_MIN, PolicyDistParams, policy_logprob
-from dsact.environments import ChainSpec, make_env
+from dsact.environments import ChainSpec
 from dsact.harness import collect_on_policy_pairs, train
 from dsact.numerics import init_mlp, mlp_forward
 from dsact.oracles import finite_diff_grad, numeric_soft_q
@@ -173,8 +173,7 @@ def test_criterion_3_variance_learning():
     elapsed = time.perf_counter() - t0
     assert elapsed <= 180.0
 
-    agent, _ = load_checkpoint(Path(cfg.out_dir) / summary["checkpoint"])
-    env = make_env(cfg.env, cfg.env_overrides)
+    agent, _, env = load_checkpoint(Path(cfg.out_dir) / summary["checkpoint"])
     pairs = collect_on_policy_pairs(env.clone(), agent.phi, 200, np.random.default_rng(777))
     table = numeric_soft_q(ChainSpec(noise_std=0.3), alpha=0.2, gamma=0.0)
     sigmas, gaps = [], []

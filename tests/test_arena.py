@@ -148,7 +148,7 @@ def nets_and_states(how, tmp_path):
     env = make_env(cfg.env, cfg.env_overrides)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, build_agent(cfg, env.spec, make_streams(cfg.seed)), cfg, env.spec)
-    agent, _ = load_checkpoint(path)
+    agent, _, _ = load_checkpoint(path)
     critics = agent.critics
     return [
         (agent.phi, agent.adam_actor),

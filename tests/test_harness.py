@@ -144,6 +144,12 @@ def rewrite_checkpoint(path, edit):
             zf.writestr(name, data)
 
 
+def read_header(path) -> dict:
+    """The checkpoint's header.json member, as stored."""
+    with zipfile.ZipFile(path) as zf:
+        return json.loads(zf.read("header.json"))
+
+
 def edit_header(change):
     def edit(members):
         header = json.loads(members["header.json"])
@@ -181,7 +187,7 @@ class TestCheckpoint:
         agent.critics.omega = [0.125, 0.0625]
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, agent, cfg, env.spec)
-        loaded, doc = load_checkpoint(path)
+        loaded, _, _ = load_checkpoint(path)
         assert params_equal(loaded.phi, agent.phi)
         assert params_equal(loaded.phi_bar, agent.phi_bar)
         for i in range(2):
@@ -190,7 +196,7 @@ class TestCheckpoint:
         assert loaded.critics.b == agent.critics.b
         assert loaded.critics.omega == agent.critics.omega
         assert loaded.alpha == agent.alpha
-        assert doc["format_version"] == 2
+        assert read_header(path)["format_version"] == 2
         # a second save of the loaded state is byte-identical
         path2 = tmp_path / "ckpt2.npz"
         save_checkpoint(path2, loaded, cfg, env.spec)
@@ -277,8 +283,7 @@ class TestCheckpoint:
 
     def test_header_holds_state_only(self, tmp_path):
         path, _ = saved_checkpoint(tmp_path)
-        _, header = load_checkpoint(path)
-        assert set(header) == {
+        assert set(read_header(path)) == {
             "format_version",
             "config",
             "env",
@@ -300,7 +305,7 @@ class TestCheckpoint:
             cfg = tiny_cfg(tmp_path, total_iterations=2)
             train(cfg)
             path = Path(cfg.out_dir) / "checkpoint_2.npz"
-            agent, _ = load_checkpoint(path)
+            agent, _, _ = load_checkpoint(path)
             assert agent.critics.adam[0].step > 0 and agent.critics.b[0] > 0
         else:
             path, agent = saved_checkpoint(tmp_path)
@@ -321,8 +326,8 @@ class TestCheckpoint:
             }
 
         rewrite_checkpoint(path, edit_header(add_earlier_keys))
-        loaded, header = load_checkpoint(path)
-        assert {"networks", "target_entropy", "env_steps", "stats_initialized"} <= set(header)
+        assert {"networks", "target_entropy", "env_steps", "stats_initialized"} <= set(read_header(path))
+        loaded, cfg, env = load_checkpoint(path)
         for name, net in zip(NETWORKS, (loaded.phi, loaded.phi_bar, *loaded.critics.theta, *loaded.critics.theta_bar)):
             assert params_equal(net, nets[name]) and net.layout == nets[name].layout
         for name, state in zip(ADAM_NETWORKS, (loaded.adam_actor, *loaded.critics.adam)):
@@ -330,8 +335,7 @@ class TestCheckpoint:
             assert state.step == want.step and np.array_equal(state.m, want.m) and np.array_equal(state.v, want.v)
         assert loaded.alpha == agent.alpha and loaded.iteration == agent.iteration
         assert loaded.critics.b == agent.critics.b and loaded.critics.omega == agent.critics.omega
-        cfg = config_from_dict(header["config"])
-        save_checkpoint(path, loaded, cfg, make_env(cfg.env, cfg.env_overrides).spec)
+        save_checkpoint(path, loaded, cfg, env.spec)
         assert path.read_bytes() == fresh
 
     @pytest.mark.parametrize("at_iteration", [0, 2])
@@ -352,7 +356,7 @@ class TestCheckpoint:
         train(cfg)
         name = f"checkpoint_{at_iteration}.npz"
         original = kept[name]
-        loaded, _ = load_checkpoint(Path(cfg.out_dir) / name)
+        loaded, _, _ = load_checkpoint(Path(cfg.out_dir) / name)
         assert original.critics.adam[0].step == (0 if at_iteration == 0 else 20)
 
         rng = np.random.default_rng(3)
@@ -445,12 +449,37 @@ class TestTrain:
         saved = {int(p.stem.removeprefix("checkpoint_")) for p in Path(cfg.out_dir).glob("checkpoint_*.npz")}
         assert saved == {0, 3, 6, 7}
 
+    @pytest.mark.parametrize(
+        "overrides, saved",
+        [
+            ({"total_iterations": 6, "checkpoint_interval": 3}, [0, 3, 6]),
+            ({"total_iterations": 0}, [0]),
+            # stopped at the first eval, which is also a save point
+            ({"total_iterations": 6, "checkpoint_interval": 2, "stop_return": -1e9}, [0, 2]),
+        ],
+        ids=["interval", "zero-iterations", "stopped-early"],
+    )
+    def test_each_checkpoint_saved_once(self, tmp_path, monkeypatch, overrides, saved):
+        """train saves at iteration 0, each multiple of checkpoint_interval
+        and the iteration the run ends at, each file once; the summary
+        names the last one."""
+        names, harness_save = [], harness.save_checkpoint
+
+        def spy(path, *args):
+            names.append(Path(path).name)
+            harness_save(path, *args)
+
+        monkeypatch.setattr(harness, "save_checkpoint", spy)
+        summary = train(tiny_cfg(tmp_path, **overrides))
+        assert names == [f"checkpoint_{i}.npz" for i in saved]
+        assert summary["checkpoint"] == names[-1]
+
     def test_no_updates_before_warm(self, tmp_path):
         cfg = tiny_cfg(tmp_path, warm_size=1000, total_iterations=3)
         summary = train(cfg)
         assert summary["critic_updates"] == 0
-        initial, _ = load_checkpoint(Path(cfg.out_dir) / "checkpoint_0.npz")
-        final, _ = load_checkpoint(Path(cfg.out_dir) / "checkpoint_3.npz")
+        initial, _, _ = load_checkpoint(Path(cfg.out_dir) / "checkpoint_0.npz")
+        final, _, _ = load_checkpoint(Path(cfg.out_dir) / "checkpoint_3.npz")
         assert params_equal(initial.phi, final.phi)
         for i in range(2):
             assert params_equal(initial.critics.theta[i], final.critics.theta[i])
@@ -579,6 +608,26 @@ class TestEvaluate:
         assert s1["critic_updates"] == 0
         assert s1["final_return"] == s2["final_return"]
         assert s1["final_return"] != 0.0
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda ckpt: evaluate(ckpt, episodes=1), lambda ckpt: measure_bias(ckpt, n_samples=1, n_rollouts=1)],
+    ids=["evaluate", "measure_bias"],
+)
+def test_stored_run_validated_once(tmp_path, monkeypatch, entry):
+    """evaluate and measure_bias take the config the loader built from
+    the echo; nothing parses or validates the echo a second time."""
+    ckpt, _ = saved_checkpoint(tmp_path)
+    calls, validate = [], RunConfig.validate
+
+    def spy(self):
+        calls.append(self.env)
+        return validate(self)
+
+    monkeypatch.setattr(RunConfig, "validate", spy)
+    entry(ckpt)
+    assert calls == ["bandit-chain"]
 
 
 class TestMeasureBias:
@@ -878,6 +927,17 @@ class TestCli:
         assert named in capsys.readouterr().err
         assert not study.exists()
 
+    def test_repeated_seed_refused_before_any_run(self, tmp_path, capsys):
+        """--seeds 1 1 would train one seed1 directory twice and count it
+        as two samples."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.QUICK, "eval_episodes": 1, "total_iterations": 1}))
+        study = tmp_path / "study"
+        argv = ["ablate", "--study", "refinements", "--config", str(cfg_path), "--out", str(study), "--seeds", "1", "1"]
+        assert cli_main(argv) == 2
+        assert "seeds must differ, got [1, 1]" in capsys.readouterr().err
+        assert not study.exists()
+
     @pytest.mark.parametrize(
         "command, named",
         [
@@ -908,6 +968,19 @@ class TestCli:
         rewrite_checkpoint(ckpt, edit_header(lambda header: header["config"].update(hidden_critic=[8])))
         assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
         assert "member 'critic1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
+    def test_echo_of_another_env_exit_code(self, tmp_path, capsys, command):
+        """A bandit-chain checkpoint (obs 3, act 1) whose echo is rewritten
+        to name the point robot (obs 8, act 2): the buffers still fit the
+        env block, so the env dims check refuses it, naming both pairs."""
+        ckpt, _ = saved_checkpoint(tmp_path)
+        echo_point_robot = edit_header(lambda header: header["config"].update(env="point-robot", env_overrides={}))
+        rewrite_checkpoint(ckpt, echo_point_robot)
+        assert cli_main([command[0], "--checkpoint", str(ckpt), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        want = f"env 'point-robot' dims (obs_dim, act_dim) = (8, 2) do not match checkpoint {ckpt} (3, 1)"
+        assert want in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command", [["eval"], ["bias", "--samples", "1", "--rollouts", "1"]])
     def test_fractional_counter_exit_code(self, tmp_path, capsys, command):
