@@ -111,16 +111,20 @@ class SoftQTable:
 
     def make_policy(self):
         """Sampler over the grid usable as an mc_true_q policy; the obs
-        is the chain's one-hot state encoding."""
+        is the chain's one-hot state encoding. Each draw is the index
+        ``rng.choice(len(actions), p=p_s)`` gives for the same single
+        uniform of ``rng``; the state's CDF is built once."""
         weights = _trapezoid_weights(self.actions)
-        probs = []
+        cdfs = []
         for s in range(3):
             p = weights * np.exp((self.q[s] - self.v[s]) / self.alpha)
-            probs.append(p / p.sum())
+            # Generator.choice's own inverse-CDF construction
+            cdf = (p / p.sum()).cumsum()
+            cdfs.append(cdf / cdf[-1])
 
         def policy(obs, rng):
             s = int(np.argmax(obs))
-            a = float(self.actions[rng.choice(len(self.actions), p=probs[s])])
+            a = float(self.actions[cdfs[s].searchsorted(rng.random(), side="right")])
             return np.array([a]), self.policy_logpdf(s, a)
 
         return policy

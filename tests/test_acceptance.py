@@ -1,11 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-The training-based criteria run real agents on desk-scale configs (small
-GELU networks, raised learning rates); every config is pinned here so
-each criterion reproduces standalone. Budgets are enforced where the
+The training-based criteria run real agents on the desk-scale configs
+shipped in `configs/` (small GELU networks, raised learning rates), the
+files the benchmark and the CLI examples train: each criterion's config
+is one of those files plus the fields the criterion states, and its runs
+write under pytest's temporary directory. Budgets are enforced where the
 criterion states one.
 """
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -15,7 +18,7 @@ import pytest
 
 from dsact.actor import actor_gradient
 from dsact.agent import load_checkpoint
-from dsact.config import RunConfig
+from dsact.config import RunConfig, load_config
 from dsact.critic import (
     assemble_critic_gradient,
     clip_target,
@@ -36,20 +39,12 @@ pytestmark = pytest.mark.acceptance
 
 DATA = Path(__file__).parent / "data"
 THRESHOLD = json.loads((DATA / "pendulum_threshold.json").read_text())
+CONFIGS = Path(__file__).parents[1] / "configs"
 
-PENDULUM_DESK = dict(
-    env="pendulum",
-    hidden_actor=(64, 64),
-    hidden_critic=(64, 64),
-    batch_size=128,
-    warm_size=5000,
-    eval_interval=100,
-    eval_episodes=5,
-    lr_critic=3e-4,
-    lr_actor=3e-4,
-    lr_alpha=3e-4,
-    alpha_init=0.2,
-)
+
+def desk_config(name: str, **fields) -> RunConfig:
+    """``configs/<name>.json`` with ``fields`` set over it."""
+    return dataclasses.replace(load_config(CONFIGS / f"{name}.json"), **fields).validate()
 
 
 def _announce(name: str, detail: str) -> None:
@@ -146,27 +141,19 @@ def test_criterion_2_expectation_equivalence():
     _announce("criterion 2 expectation equivalence", f"{hits}/50 within the 4-sigma band")
 
 
-def test_criterion_3_variance_learning():
+def test_criterion_3_variance_learning(tmp_path):
     """On the one-step noisy bandit the critic's spread head recovers
     the reward noise and the mean head is nearly unbiased."""
     t0 = time.perf_counter()
-    cfg = RunConfig(
-        env="bandit-chain",
+    # the file's 1050 iterations of 20 samples: 20k updates of each critic after warm
+    cfg = desk_config(
+        "bandit_chain",
         env_overrides={"noise_std": 0.3},
         gamma=0.0,
-        hidden_actor=(32, 32),
-        hidden_critic=(32, 32),
         batch_size=256,
-        warm_size=1000,
-        samples_per_iteration=20,
-        total_iterations=1050,  # 20k updates of each critic after warm
         eval_interval=500,
         eval_episodes=2,
-        lr_critic=1e-3,
-        lr_actor=1e-3,
-        alpha_init=0.2,
-        seed=12345,
-        out_dir="/tmp/dsact-accept/c3",
+        out_dir=str(tmp_path),
     )
     summary = train(cfg)
     assert summary["critic_updates"] >= 20_000
@@ -223,20 +210,14 @@ def test_criterion_5_kernel_scale_equivariance():
     _announce("criterion 5 scale equivariance", f"max relative deviation {worst:.2e}")
 
 
-def test_criterion_6_pendulum_convergence():
+def test_criterion_6_pendulum_convergence(tmp_path):
     """Full training reaches the pinned threshold within 150k env steps
-    on all three seeds, each within its runtime budget."""
+    (the file's 7500 iterations of 20 samples) on all three seeds, each
+    within its runtime budget."""
     r_star = THRESHOLD["threshold_return"]
     reached = {}
     for seed in (12345, 22345, 32345):
-        cfg = RunConfig(
-            algorithm="dsact",
-            total_iterations=7500,  # 150k env steps
-            stop_return=r_star,
-            seed=seed,
-            out_dir=f"/tmp/dsact-accept/c6/seed{seed}",
-            **PENDULUM_DESK,
-        )
+        cfg = desk_config("pendulum", stop_return=r_star, seed=seed, out_dir=str(tmp_path / f"seed{seed}"))
         t0 = time.perf_counter()
         summary = train(cfg)
         elapsed = time.perf_counter() - t0
@@ -252,17 +233,12 @@ def test_criterion_6_pendulum_convergence():
     )
 
 
-def test_criterion_9_training_determinism():
+def test_criterion_9_training_determinism(tmp_path):
     """Identical config and seed reproduce metrics.csv bit-exactly."""
     outs = []
     for tag in ("a", "b"):
-        cfg = RunConfig(
-            algorithm="dsact",
-            total_iterations=300,
-            warm_size=1000,
-            seed=42345,
-            out_dir=f"/tmp/dsact-accept/c9/{tag}",
-            **{k: v for k, v in PENDULUM_DESK.items() if k != "warm_size"},
+        cfg = desk_config(
+            "pendulum", total_iterations=300, warm_size=1000, seed=42345, out_dir=str(tmp_path / tag)
         )
         train(cfg)
         outs.append((Path(cfg.out_dir) / "metrics.csv").read_bytes())

@@ -101,6 +101,16 @@ class TestConfig:
         cfg = load_config(p)
         assert cfg.env == "pendulum" and cfg.batch_size == 32
 
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")), ids=lambda p: p.name
+    )
+    def test_shipped_configs_load(self, path):
+        """Each file in configs/ (which the acceptance criteria, the
+        benchmark and the CLI examples train) loads, every key it sets
+        read as written."""
+        doc = {**RunConfig().to_jsonable(), **json.loads(path.read_text())}
+        assert load_config(path).to_jsonable() == doc
+
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{nope")

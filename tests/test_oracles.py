@@ -154,6 +154,29 @@ class TestNumericSoftQ:
             assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def test_soft_policy_draws_match_choice():
+    """The soft-optimal sampler draws the grid points ``rng.choice``
+    draws with the soft-optimal p from a twin stream, and leaves the
+    stream where ``rng.choice`` does."""
+    table = numeric_soft_q(ChainSpec(noise_std=0.3), alpha=0.2, gamma=0.9)
+    policy = table.make_policy()
+    grid = table.actions
+    h = grid[1] - grid[0]
+    w = np.full(len(grid), h)
+    w[0] = w[-1] = h / 2.0
+    for s in range(3):
+        p = w * np.exp((table.q[s] - table.v[s]) / table.alpha)
+        p /= p.sum()
+        ours, ref = np.random.default_rng(900 + s), np.random.default_rng(900 + s)
+        obs = np.eye(3)[s]
+        for _ in range(2000):
+            a, logp = policy(obs, ours)
+            want = grid[ref.choice(len(grid), p=p)]
+            assert a[0] == want
+            assert logp == table.policy_logpdf(s, want)
+        assert ours.random() == ref.random()
+
+
 def test_cross_oracle_agreement(rng):
     """Monte-Carlo truth under the soft-optimal policy agrees with the
     quadrature solution on random queries within 3 standard errors."""
