@@ -15,6 +15,13 @@ buffer (``actor``, ``actor_target``, ``critic1``, ``critic2``,
 member order and zip timestamps make a re-save of a loaded agent
 byte-identical.
 
+A load checks every member (its .npy header, its length and its zip
+CRC-32) but holds only those it is asked to keep: a full load, for
+tests, re-saves and resumes, keeps all of them; ``dsact eval`` keeps the
+actor and ``dsact bias`` the actor and the two critics, so the target
+networks and Adam moments (three quarters of the bytes) are read in
+chunks and dropped.
+
 Nothing else is stored because it follows from what is: each network's
 layout from the config echo's hidden sizes and the env block's dims
 (`actor_sizes`, `critic_sizes`; GELU on every layer but the last), as
@@ -48,6 +55,8 @@ CHECKPOINT_FORMAT_VERSION = 2
 HEADER = "header.json"
 NETWORKS = ("actor", "actor_target", "critic1", "critic2", "critic1_target", "critic2_target")
 ADAM_NETWORKS = ("actor", "critic1", "critic2")
+MEMBERS = NETWORKS + tuple(f"adam.{name}.{k}" for name in ADAM_NETWORKS for k in "mv")
+_CHUNK = 1 << 18  # bytes per read of a member's data, np.load's own size
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)  # the zip epoch, so saves do not depend on the clock
 # what reading a damaged or foreign file can raise (a missing member is a KeyError)
 _READ_ERRORS = (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile)
@@ -55,6 +64,11 @@ _READ_ERRORS = (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile)
 
 @dataclass
 class AgentState:
+    """An agent's networks, Adam moments, temperature and iteration. A
+    checkpoint loaded with a ``keep`` that leaves a member out holds None
+    where that buffer would sit: the network's ParamSet, or the AdamState's
+    ``m`` or ``v``, never a placeholder array."""
+
     phi: ParamSet
     phi_bar: ParamSet
     adam_actor: AdamState
@@ -133,17 +147,39 @@ def _field(doc: dict, *path: str, kind: str | None = None, **bound):
     return node if kind is None else check_number(f"checkpoint {_where(path)}", node, kind, **bound)
 
 
-def _buffer(npz, path: Path, name: str, layout: Layout) -> np.ndarray:
-    """The member ``name`` as a float64 vector of the layout's size."""
+def _buffer(npz, path: Path, name: str, layout: Layout, keep: tuple[str, ...]) -> np.ndarray | None:
+    """The member ``name`` as a float64 vector of the layout's size, or
+    None when ``keep`` does not name it. Either way its .npy header must
+    say float64 and that size, its data must be that many bytes, and its
+    zip CRC-32 must hold; data that is not kept is read in chunks and
+    dropped."""
     where = f"({path}, member {name!r})"
+    want = 8 * layout.size
     try:
-        flat = npz[name]
+        if name not in npz.files:
+            raise KeyError(f"{name} is not a file in the archive")
+        with npz.zip.open(f"{name}.npy") as f:
+            npy = np.lib.format
+            version = npy.read_magic(f)
+            shape, _, dtype = (npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0)(f)
+            if dtype != np.float64 or shape != (layout.size,):
+                raise ConfigError(
+                    f"checkpoint buffer is {dtype} {list(shape)}; its layout needs float64 [{layout.size}] {where}"
+                )
+            flat = np.empty(layout.size) if name in keep else None
+            into = None if flat is None else memoryview(flat).cast("B")
+            got = 0
+            while got < want and (chunk := f.read(min(_CHUNK, want - got))):
+                if into is not None:
+                    into[got : got + len(chunk)] = chunk
+                got += len(chunk)
+            # the read that reaches the member's end checks its CRC-32
+            if got < want or f.read(1):
+                raise ValueError(f"array data is not the {want} bytes its header gives")
+    except ConfigError:
+        raise
     except _READ_ERRORS as exc:
         raise ConfigError(f"checkpoint member cannot be read: {exc} {where}") from exc
-    if flat.dtype != np.float64 or flat.shape != (layout.size,):
-        raise ConfigError(
-            f"checkpoint buffer is {flat.dtype} {list(flat.shape)}; its layout needs float64 [{layout.size}] {where}"
-        )
     return flat
 
 
@@ -182,11 +218,17 @@ def _header(npz) -> dict:
     return header
 
 
-def load_checkpoint(path: str | Path) -> tuple[AgentState, RunConfig, PendulumEnv | PointRobotEnv | BanditChainEnv]:
+def load_checkpoint(
+    path: str | Path, keep: tuple[str, ...] = MEMBERS
+) -> tuple[AgentState, RunConfig, PendulumEnv | PointRobotEnv | BanditChainEnv]:
     """The stored run as (agent, config echo, env), the env built once
     from the echo. A file that does not hold a complete, consistently
     shaped agent raises a ConfigError naming the file and the member; an
-    echoed env whose dims differ from the env block, one naming both."""
+    echoed env whose dims differ from the env block, one naming both.
+
+    Only the members named in ``keep`` (by default all of `MEMBERS`) are
+    held in memory; every other one is checked the same way and dropped,
+    and the agent holds None in its place (see `AgentState`)."""
     path = Path(path)
     with _open(path) as npz:
         try:
@@ -212,14 +254,15 @@ def load_checkpoint(path: str | Path) -> tuple[AgentState, RunConfig, PendulumEn
         except ConfigError as exc:
             raise ConfigError(f"{exc} ({path}, member {HEADER!r})") from exc
 
-        nets = {
-            name: ParamSet(_buffer(npz, path, name, layout), layout)
-            for name, layout in zip(NETWORKS, (actor, actor, critic, critic, critic, critic), strict=True)
-        }
+        layouts = dict(zip(NETWORKS, (actor, actor, critic, critic, critic, critic), strict=True))
+        nets = {}
+        for name, layout in layouts.items():
+            flat = _buffer(npz, path, name, layout, keep)
+            nets[name] = None if flat is None else ParamSet(flat, layout)
         adams = {}
         for name in ADAM_NETWORKS:
             # the moments are the loaded buffers themselves, not copies
-            m, v = (_buffer(npz, path, f"adam.{name}.{k}", nets[name].layout) for k in "mv")
+            m, v = (_buffer(npz, path, f"adam.{name}.{k}", layouts[name], keep) for k in "mv")
             adams[name] = AdamState(m, v, adam_steps[name])
 
     env = make_env(cfg.env, cfg.env_overrides)

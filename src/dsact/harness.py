@@ -116,7 +116,7 @@ def evaluate(checkpoint: str | Path, episodes: int = 10, deterministic: bool = T
     """Evaluate a stored policy in the env its config echo names."""
     check_number("seed", seed, "int", least=0)
     check_number("episodes", episodes, "int", least=1)
-    agent, _, env = load_checkpoint(checkpoint)
+    agent, _, env = load_checkpoint(checkpoint, keep=("actor",))
     return evaluate_policy(
         agent.phi, env, episodes, deterministic, seed_parts=(seed, _EVAL_TAG)
     )
@@ -325,7 +325,7 @@ def measure_bias(
     check_number("seed", seed, "int", least=0)
     check_number("n_samples", n_samples, "int", least=1)
     check_number("n_rollouts", n_rollouts, "int", least=1)
-    agent, cfg, env = load_checkpoint(checkpoint)
+    agent, cfg, env = load_checkpoint(checkpoint, keep=("actor", "critic1", "critic2"))
     active = cfg.kernel().active_critics
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _BIAS_TAG, seed]))
     pairs = collect_on_policy_pairs(env.clone(), agent.phi, n_samples, rng)

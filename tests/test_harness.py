@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import re
+import tracemalloc
 import warnings
 import zipfile
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from dsact.actor import actor_gradient, policy_forward, temperature_update
-from dsact.agent import ADAM_NETWORKS, NETWORKS, build_agent, load_checkpoint, save_checkpoint
+from dsact.agent import ADAM_NETWORKS, MEMBERS, NETWORKS, build_agent, load_checkpoint, save_checkpoint
 from dsact.baselines import build_variant
 from dsact.charts import write_line_chart
 from dsact.config import ConfigError, RunConfig, config_from_dict, load_config
@@ -239,13 +240,24 @@ class TestCheckpoint:
                 lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["adam_steps"].update(critic1="7"))),
                 "'critic1'",
             ),
+            # a member that is not .npy at all, and one with bytes past its data
+            (lambda path, agent: rewrite_checkpoint(path, lambda m: m.update({"adam.actor.m.npy": b"{}"})), "'adam.actor.m'"),
+            (
+                lambda path, agent: rewrite_checkpoint(path, lambda m: m.update({"critic2.npy": m["critic2.npy"] + b"\0"})),
+                "is not the",
+            ),
         ],
     )
-    def test_damaged_checkpoint_names_the_key(self, tmp_path, damage, named):
+    @pytest.mark.parametrize(
+        "keep", [MEMBERS, ("actor",), ("actor", "critic1", "critic2")], ids=["full", "evaluate", "measure_bias"]
+    )
+    def test_damaged_checkpoint_names_the_key(self, tmp_path, damage, named, keep):
+        """Each damage is refused alike whether the member it hits is kept
+        or only checked and dropped."""
         path, agent = saved_checkpoint(tmp_path)
         damage(path, agent)
         with pytest.raises(ConfigError, match=re.escape(named)) as caught:
-            load_checkpoint(path)
+            load_checkpoint(path, keep=keep)
         assert str(path) in str(caught.value)
 
     def test_unreadable_checkpoint_closes_its_file(self, tmp_path):
@@ -303,6 +315,34 @@ class TestCheckpoint:
             "omega",
             "adam_steps",
         }
+
+    def test_partial_load_holds_only_the_kept_buffers(self, tmp_path):
+        """With measure_bias's keep set, a default-width (256x3) pendulum
+        checkpoint loads at a tracemalloc peak (which counts numpy's data)
+        below the kept buffers' bytes plus 1 MiB, where a full load peaks
+        above it; the kept buffers are a full load's bits, the rest None."""
+        cfg = RunConfig(env="pendulum", out_dir=str(tmp_path)).validate()
+        env = make_env(cfg.env)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, build_agent(cfg, env.spec, make_streams(cfg.seed)), cfg, env.spec)
+
+        def peak_of_load(**keep):
+            tracemalloc.start()
+            try:
+                agent, _, _ = load_checkpoint(path, **keep)
+                return agent, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        part, part_peak = peak_of_load(keep=("actor", "critic1", "critic2"))
+        full, full_peak = peak_of_load()
+        kept = [part.phi, *part.critics.theta]
+        bound = sum(net.flat.nbytes for net in kept) + 2**20
+        assert part_peak < bound < full_peak
+        for got, want in zip(kept, [full.phi, *full.critics.theta], strict=True):
+            assert got.flat.tobytes() == want.flat.tobytes()
+        assert part.phi_bar is None and part.critics.theta_bar == (None, None)
+        assert all(state.m is None and state.v is None for state in (part.adam_actor, *part.critics.adam))
 
     @pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
     def test_earlier_header_with_shapes_and_target_entropy_loads(self, tmp_path, trained):

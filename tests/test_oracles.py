@@ -179,7 +179,12 @@ def test_soft_policy_draws_match_choice():
 
 def test_cross_oracle_agreement(rng):
     """Monte-Carlo truth under the soft-optimal policy agrees with the
-    quadrature solution on random queries within 3 standard errors."""
+    quadrature solution on random queries within 3 standard errors.
+
+    What this judges is `mc_true_q`'s bookkeeping: its discounting and
+    the entropy bonus it adds after the first step. The sampler it rolls
+    out with is judged on its own by `test_soft_policy_draws_match_choice`.
+    """
     chain = ChainSpec(noise_std=0.3)
     alpha, gamma = 0.2, 0.9
     table = numeric_soft_q(chain, alpha, gamma)
