@@ -56,7 +56,7 @@ HEADER = "header.json"
 NETWORKS = ("actor", "actor_target", "critic1", "critic2", "critic1_target", "critic2_target")
 ADAM_NETWORKS = ("actor", "critic1", "critic2")
 MEMBERS = NETWORKS + tuple(f"adam.{name}.{k}" for name in ADAM_NETWORKS for k in "mv")
-_CHUNK = 1 << 18  # bytes per read of a member's data, np.load's own size
+_CHUNK = 1 << 18  # bytes per read of a member's data (256 KiB)
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)  # the zip epoch, so saves do not depend on the clock
 # what reading a damaged or foreign file can raise (a missing member is a KeyError)
 _READ_ERRORS = (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile)
@@ -147,7 +147,7 @@ def _field(doc: dict, *path: str, kind: str | None = None, **bound):
     return node if kind is None else check_number(f"checkpoint {_where(path)}", node, kind, **bound)
 
 
-def _buffer(npz, path: Path, name: str, layout: Layout, keep: tuple[str, ...]) -> np.ndarray | None:
+def _buffer(zf: zipfile.ZipFile, path: Path, name: str, layout: Layout, keep: tuple[str, ...]) -> np.ndarray | None:
     """The member ``name`` as a float64 vector of the layout's size, or
     None when ``keep`` does not name it. Either way its .npy header must
     say float64 and that size, its data must be that many bytes, and its
@@ -156,9 +156,7 @@ def _buffer(npz, path: Path, name: str, layout: Layout, keep: tuple[str, ...]) -
     where = f"({path}, member {name!r})"
     want = 8 * layout.size
     try:
-        if name not in npz.files:
-            raise KeyError(f"{name} is not a file in the archive")
-        with npz.zip.open(f"{name}.npy") as f:
+        with zf.open(f"{name}.npy") as f:
             npy = np.lib.format
             version = npy.read_magic(f)
             shape, _, dtype = (npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0)(f)
@@ -185,30 +183,27 @@ def _buffer(npz, path: Path, name: str, layout: Layout, keep: tuple[str, ...]) -
 
 @contextlib.contextmanager
 def _open(path: Path):
-    """The checkpoint as an open NpzFile. The file is opened here, not by
-    np.load, so it closes on leaving even when np.load cannot parse it."""
+    """The checkpoint as an open ZipFile, closed on leaving; zipfile closes
+    the file itself when it cannot parse it."""
     try:
-        f = path.open("rb")
-    except OSError as exc:
-        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    with f:
         try:
-            json_like = f.read(1) == b"{"
-            f.seek(0)
-            npz = None if json_like else np.load(f, allow_pickle=False)
-        except _READ_ERRORS as exc:
-            raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-        if json_like:
-            raise ConfigError(f"checkpoint {path} is JSON (format 1); JSON checkpoints are no longer read")
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise ConfigError(f"checkpoint {path} is a single .npy array, not an .npz archive")
-        with npz:
-            yield npz
+            zf = zipfile.ZipFile(path)
+        except zipfile.BadZipFile:
+            with path.open("rb") as f:
+                if f.read(1) == b"{":
+                    raise ConfigError(f"checkpoint {path} is JSON (format 1); JSON checkpoints are no longer read")
+            raise
+    except ConfigError:
+        raise
+    except _READ_ERRORS as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    with zf:
+        yield zf
 
 
-def _header(npz) -> dict:
+def _header(zf: zipfile.ZipFile) -> dict:
     try:
-        header = json.loads(npz[HEADER])
+        header = json.loads(zf.read(HEADER))
     except _READ_ERRORS as exc:
         raise ConfigError(f"checkpoint header cannot be read: {exc}") from exc
     if not isinstance(header, dict):
@@ -230,9 +225,9 @@ def load_checkpoint(
     held in memory; every other one is checked the same way and dropped,
     and the agent holds None in its place (see `AgentState`)."""
     path = Path(path)
-    with _open(path) as npz:
+    with _open(path) as zf:
         try:
-            header = _header(npz)
+            header = _header(zf)
             cfg_echo = _field(header, "config")
             if not isinstance(cfg_echo, dict):
                 raise ConfigError("checkpoint 'config' must be an object")
@@ -257,12 +252,12 @@ def load_checkpoint(
         layouts = dict(zip(NETWORKS, (actor, actor, critic, critic, critic, critic), strict=True))
         nets = {}
         for name, layout in layouts.items():
-            flat = _buffer(npz, path, name, layout, keep)
+            flat = _buffer(zf, path, name, layout, keep)
             nets[name] = None if flat is None else ParamSet(flat, layout)
         adams = {}
         for name in ADAM_NETWORKS:
             # the moments are the loaded buffers themselves, not copies
-            m, v = (_buffer(npz, path, f"adam.{name}.{k}", layouts[name], keep) for k in "mv")
+            m, v = (_buffer(zf, path, f"adam.{name}.{k}", layouts[name], keep) for k in "mv")
             adams[name] = AdamState(m, v, adam_steps[name])
 
     env = make_env(cfg.env, cfg.env_overrides)

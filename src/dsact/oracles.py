@@ -3,7 +3,8 @@
 Nothing here shares code paths with the learners: gradients come from
 central differences, true Q-values from discounted Monte-Carlo rollouts
 (entropy bonuses included for every action after the queried one), and
-the bandit chain's soft values from quadrature-backed value iteration.
+the bandit chain's soft values and return std from quadrature over an
+action grid plus two 3x3 linear solves.
 """
 
 from __future__ import annotations
@@ -137,45 +138,36 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     return w
 
 
-def _solve_chain(chain: ChainSpec, alpha: float, gamma: float, grid_step: float, tol: float):
+def _solve_chain(chain: ChainSpec, alpha: float, gamma: float, grid_step: float):
     n_pts = int(round(2.0 / grid_step)) + 1
     actions = np.linspace(-1.0, 1.0, n_pts)
     w = _trapezoid_weights(actions)
     r_mean = np.stack([np.array([chain.mean_reward(s, a) for a in actions]) for s in range(3)])
     nxt = [chain.next_state(s) for s in range(3)]
+    # No action moves the chain: every action in s leads to nxt[s]. So each
+    # Bellman equation below is linear in one unknown per state, and a 3x3
+    # solve gives its fixed point exactly; step @ x is x[nxt].
+    step = np.eye(3)[nxt]
 
-    v = np.zeros(3)
-    q = r_mean.copy()
-    for _ in range(100_000):
-        # V(s) = alpha * log integral exp(Q(s, .)/alpha)
-        peak = q.max(axis=1, keepdims=True)
-        v_new = (peak[:, 0] + alpha * np.log((w * np.exp((q - peak) / alpha)).sum(axis=1)))
-        q_new = r_mean + gamma * v_new[nxt][:, None]
-        delta = np.max(np.abs(q_new - q))
-        q, v = q_new, v_new
-        if delta < tol:
-            break
-    else:
-        raise RuntimeError("soft value iteration did not converge")
+    # V(s) = alpha * log integral exp(Q(s, .)/alpha) with Q = r_mean + gamma * V(next),
+    # so V = c + gamma * V(next)
+    peak = r_mean.max(axis=1)
+    c = peak + alpha * np.log((w * np.exp((r_mean - peak[:, None]) / alpha)).sum(axis=1))
+    v = np.linalg.solve(np.eye(3) - gamma * step, c)
+    q = r_mean + gamma * v[nxt][:, None]
 
     logpi = (q - v[:, None]) / alpha
     pi_w = w * np.exp(logpi)
-    # second moments of the soft return, iterated alongside the policy
-    m2 = r_mean**2 + chain.noise_std**2
-    for _ in range(100_000):
-        w_sq = (pi_w * (m2 - 2.0 * alpha * logpi * q + (alpha * logpi) ** 2)).sum(axis=1)
-        m2_new = (
-            r_mean**2
-            + chain.noise_std**2
-            + 2.0 * r_mean * gamma * v[nxt][:, None]
-            + gamma**2 * w_sq[nxt][:, None]
-        )
-        delta = np.max(np.abs(m2_new - m2))
-        m2 = m2_new
-        if delta < tol:
-            break
-    else:
-        raise RuntimeError("second-moment iteration did not converge")
+    # second moments of the soft return: M2 = base + gamma^2 * W(next), where
+    # W(s) = sum_a pi_w * (M2 - 2 alpha logpi Q + (alpha logpi)^2)
+    #      = d(s) + gamma^2 * mass(s) * W(next)
+    # and mass = sum_a pi_w is kept as computed (it is 1 only to rounding), so
+    # W solves the recursion above exactly
+    base = r_mean**2 + chain.noise_std**2 + 2.0 * r_mean * gamma * v[nxt][:, None]
+    d = (pi_w * (base - 2.0 * alpha * logpi * q + (alpha * logpi) ** 2)).sum(axis=1)
+    mass = pi_w.sum(axis=1)
+    w_sq = np.linalg.solve(np.eye(3) - gamma**2 * mass[:, None] * step, d)
+    m2 = base + gamma**2 * w_sq[nxt][:, None]
     var = np.maximum(m2 - q**2, 0.0)
     return actions, q, v, np.sqrt(var)
 
@@ -187,7 +179,8 @@ def numeric_soft_q(
     grid_step: float = 1e-3,
     refine_tol: float = 1e-6,
 ) -> SoftQTable:
-    """Soft-optimal values of the chain by quadrature value iteration.
+    """Soft-optimal values and return std of the chain, by trapezoid
+    quadrature over the action grid and two 3x3 linear solves.
 
     Solves at the requested grid step and at half the step; refuses if
     the refinement moves any Q entry by more than ``refine_tol``.
@@ -199,8 +192,8 @@ def numeric_soft_q(
         raise ValueError("gamma must be in [0, 1)")
     if grid_step > 1e-3:
         raise ValueError("grid resolution must be <= 1e-3")
-    coarse = _solve_chain(chain, alpha, gamma, grid_step, tol=1e-13)
-    fine = _solve_chain(chain, alpha, gamma, grid_step / 2.0, tol=1e-13)
+    coarse = _solve_chain(chain, alpha, gamma, grid_step)
+    fine = _solve_chain(chain, alpha, gamma, grid_step / 2.0)
     drift = np.max(np.abs(coarse[1] - fine[1][:, ::2]))
     if drift > refine_tol:
         raise ValueError(

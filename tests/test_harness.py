@@ -179,6 +179,11 @@ def edit_buffer(name, change):
     return edit
 
 
+def write_bare_npy(path, agent):
+    with path.open("wb") as f:
+        np.save(f, agent.phi.flat)
+
+
 def flip_payload_byte(path, agent):
     data = bytearray(path.read_bytes())
     at = data.find(agent.critics.theta[0].flat.tobytes())
@@ -232,6 +237,7 @@ class TestCheckpoint:
             (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["env"].update(act_dim=0))), "['env']['act_dim']"),
             (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h.update(b=[0.0]))), "'b'"),
             (lambda path, agent: path.write_text(json.dumps({"format_version": 1})), "JSON checkpoints are no longer read"),
+            (write_bare_npy, "File is not a zip file"),
             (
                 lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["config"].update(hidden_critic=[8]))),
                 "member 'critic1'",
@@ -261,7 +267,7 @@ class TestCheckpoint:
         assert str(path) in str(caught.value)
 
     def test_unreadable_checkpoint_closes_its_file(self, tmp_path):
-        """A file np.load cannot parse is closed when the load is refused,
+        """A file zipfile cannot parse is closed when the load is refused,
         not left to the garbage collector."""
         path, _ = saved_checkpoint(tmp_path)
         path.write_bytes(path.read_bytes()[:-1000])
