@@ -190,7 +190,11 @@ def _open(path: Path):
             zf = zipfile.ZipFile(path)
         except zipfile.BadZipFile:
             with path.open("rb") as f:
-                if f.read(1) == b"{":
+                # JSON may open with a UTF-8 BOM and whitespace before its "{"
+                f.seek(3 if f.read(3) == b"\xef\xbb\xbf" else 0)
+                while (first := f.read(1)) and first in b" \t\r\n":
+                    pass
+                if first == b"{":
                     raise ConfigError(f"checkpoint {path} is JSON (format 1); JSON checkpoints are no longer read")
             raise
     except ConfigError:

@@ -78,21 +78,6 @@ def _cell(column: str, x) -> str:
     return "" if x is None else repr(float(x))
 
 
-def rollout_return(phi, env, seed: int, policy_rng: np.random.Generator | None = None) -> float:
-    """One episode's undiscounted raw-reward return."""
-    obs = env.reset(seed)
-    total = 0.0
-    while True:
-        if policy_rng is None:
-            a = act_deterministic(phi, obs)
-        else:
-            a = act_stochastic(phi, obs, policy_rng)[0]
-        obs, r, done, truncated = env.step(a)
-        total += r
-        if done or truncated:
-            return total
-
-
 def evaluate_policy(
     phi,
     env,
@@ -100,13 +85,21 @@ def evaluate_policy(
     deterministic: bool,
     seed_parts: tuple[int, ...],
 ) -> tuple[float, float]:
-    """Mean and std of episode returns over fresh evaluation episodes."""
+    """Mean and std of the undiscounted raw-reward returns of fresh
+    evaluation episodes."""
     sim = env.clone()
     returns = []
     for e in range(episodes):
-        ep_seed = derived_seed(*seed_parts, e)
         rng = None if deterministic else np.random.default_rng(derived_seed(*seed_parts, e, 1))
-        returns.append(rollout_return(phi, sim, ep_seed, rng))
+        obs = sim.reset(derived_seed(*seed_parts, e))
+        total = 0.0
+        while True:
+            a = act_deterministic(phi, obs) if rng is None else act_stochastic(phi, obs, rng)[0]
+            obs, r, done, truncated = sim.step(a)
+            total += r
+            if done or truncated:
+                break
+        returns.append(total)
     returns = np.asarray(returns)
     std = float(np.std(returns)) if episodes > 1 else 0.0
     return float(np.mean(returns)), std

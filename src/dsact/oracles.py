@@ -4,7 +4,9 @@ Nothing here shares code paths with the learners: gradients come from
 central differences, true Q-values from discounted Monte-Carlo rollouts
 (entropy bonuses included for every action after the queried one), and
 the bandit chain's soft values and return std from quadrature over an
-action grid plus two 3x3 linear solves.
+action grid plus two 3x3 linear solves. That std is one number per
+state: no action moves the chain and the reward noise is the same for
+every action, so the action changes the return's mean but not its spread.
 """
 
 from __future__ import annotations
@@ -91,7 +93,9 @@ def mc_true_q(
 
 @dataclass
 class SoftQTable:
-    """Converged soft values of the bandit chain on an action grid."""
+    """Soft-optimal values of the bandit chain on an action grid, and the
+    std of the soft return from (s, a): one per state, since a moves
+    neither the next state nor the reward noise."""
 
     chain: ChainSpec
     alpha: float
@@ -99,13 +103,13 @@ class SoftQTable:
     actions: np.ndarray  # (G,)
     q: np.ndarray  # (3, G)
     v: np.ndarray  # (3,)
-    ret_std: np.ndarray  # (3, G)
+    ret_std: np.ndarray  # (3,)
 
     def q_at(self, state: int, action: float) -> float:
         return float(np.interp(action, self.actions, self.q[state]))
 
-    def std_at(self, state: int, action: float) -> float:
-        return float(np.interp(action, self.actions, self.ret_std[state]))
+    def std_at(self, state: int) -> float:
+        return float(self.ret_std[state])
 
     def policy_logpdf(self, state: int, action: float) -> float:
         return (self.q_at(state, action) - float(self.v[state])) / self.alpha
@@ -158,18 +162,15 @@ def _solve_chain(chain: ChainSpec, alpha: float, gamma: float, grid_step: float)
 
     logpi = (q - v[:, None]) / alpha
     pi_w = w * np.exp(logpi)
-    # second moments of the soft return: M2 = base + gamma^2 * W(next), where
-    # W(s) = sum_a pi_w * (M2 - 2 alpha logpi Q + (alpha logpi)^2)
-    #      = d(s) + gamma^2 * mass(s) * W(next)
-    # and mass = sum_a pi_w is kept as computed (it is 1 only to rounding), so
-    # W solves the recursion above exactly
-    base = r_mean**2 + chain.noise_std**2 + 2.0 * r_mean * gamma * v[nxt][:, None]
-    d = (pi_w * (base - 2.0 * alpha * logpi * q + (alpha * logpi) ** 2)).sum(axis=1)
+    # variance of the soft return from s on, by the law of total variance:
+    # U(s) = sum_a pi_w * (Q - alpha logpi - V)^2 + mass(s) * (sigma^2 + gamma^2 U(next)),
+    # with mass = sum_a pi_w kept as computed (it is 1 only to rounding)
+    d = (pi_w * (q - alpha * logpi - v[:, None]) ** 2).sum(axis=1)
     mass = pi_w.sum(axis=1)
-    w_sq = np.linalg.solve(np.eye(3) - gamma**2 * mass[:, None] * step, d)
-    m2 = base + gamma**2 * w_sq[nxt][:, None]
-    var = np.maximum(m2 - q**2, 0.0)
-    return actions, q, v, np.sqrt(var)
+    u = np.linalg.solve(np.eye(3) - gamma**2 * mass[:, None] * step, mass * chain.noise_std**2 + d)
+    # from (s, a) the return is the reward noise plus gamma times the soft
+    # return from next(s), whatever a is
+    return actions, q, v, np.sqrt(chain.noise_std**2 + gamma**2 * u[nxt])
 
 
 def numeric_soft_q(
@@ -179,8 +180,8 @@ def numeric_soft_q(
     grid_step: float = 1e-3,
     refine_tol: float = 1e-6,
 ) -> SoftQTable:
-    """Soft-optimal values and return std of the chain, by trapezoid
-    quadrature over the action grid and two 3x3 linear solves.
+    """Soft-optimal values and per-state return std of the chain, by
+    trapezoid quadrature over the action grid and two 3x3 linear solves.
 
     Solves at the requested grid step and at half the step; refuses if
     the refinement moves any Q entry by more than ``refine_tol``.

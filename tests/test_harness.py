@@ -237,6 +237,12 @@ class TestCheckpoint:
             (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["env"].update(act_dim=0))), "['env']['act_dim']"),
             (lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h.update(b=[0.0]))), "'b'"),
             (lambda path, agent: path.write_text(json.dumps({"format_version": 1})), "JSON checkpoints are no longer read"),
+            # JSON may open with whitespace, or with a UTF-8 byte order mark
+            (lambda path, agent: path.write_text(" \n" + json.dumps({"format_version": 1})), "JSON checkpoints are no longer read"),
+            (
+                lambda path, agent: path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"format_version": 1}).encode()),
+                "JSON checkpoints are no longer read",
+            ),
             (write_bare_npy, "File is not a zip file"),
             (
                 lambda path, agent: rewrite_checkpoint(path, edit_header(lambda h: h["config"].update(hidden_critic=[8]))),

@@ -31,7 +31,7 @@ JUDGES = {
     "point_robot_reference_action",
     "ReplayBuffer.contents",  # the held rows, against which eviction order is checked
     "PendulumEnv.mechanical_energy",  # the integrator's energy drift over a free swing
-    "SoftQTable.std_at",  # the chain's exact return std, the oracle for a learned sigma
+    "SoftQTable.std_at",  # the chain's exact return std from a state, the oracle for a learned sigma
     "SoftQTable.make_policy",  # the soft-optimal sampler that cross-checks mc_true_q
 }
 

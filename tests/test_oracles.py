@@ -116,18 +116,18 @@ class TestNumericSoftQ:
             assert table.q_at(s, a_star) == pytest.approx(0.0, abs=1e-12)
             assert table.q_at(s, a_star + 0.3) == pytest.approx(-0.09, abs=1e-9)
 
+    @pytest.mark.parametrize("sigma", [0.3, 0.0])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
-    def test_soft_optimal_return_std(self, gamma):
+    def test_soft_optimal_return_std(self, sigma, gamma):
         """Under the soft-optimal policy each step's soft reward is
         V(s) - gamma V(s') plus the reward noise, so the return std is
-        sigma / sqrt(1 - gamma^2) at every (s, a); 1e-13 is about 500 ulps
-        of the largest value here (0.688)."""
-        sigma = 0.3
+        sigma / sqrt(1 - gamma^2) from every state, and 0 without noise;
+        1e-15 is about 9 ulps of the largest value here (0.688)."""
         table = numeric_soft_q(ChainSpec(noise_std=sigma), alpha=0.2, gamma=gamma)
         want = sigma / np.sqrt(1.0 - gamma**2)
-        assert np.max(np.abs(table.ret_std - want)) <= 1e-13
+        assert table.ret_std.shape == (3,)
         for s in range(3):
-            assert table.std_at(s, 0.1) == pytest.approx(want, abs=1e-13)
+            assert abs(table.std_at(s) - want) <= 1e-15
 
     def test_grid_halving_stable(self):
         chain = ChainSpec(noise_std=0.3)
