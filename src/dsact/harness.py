@@ -382,7 +382,9 @@ def run_ablation(
         raise ConfigError(f"unknown study {study!r}; choose from {tuple(STUDIES)}")
     if base_cfg.total_iterations < 1:
         raise ConfigError(f"total_iterations must be >= 1 for a study, got {base_cfg.total_iterations}")
-    seeds = list(seeds) if seeds else [base_cfg.seed]
+    seeds = [base_cfg.seed] if seeds is None else list(seeds)
+    if not seeds:
+        raise ConfigError("seeds is empty: give at least one seed, or none to train the config's seed")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"seeds must differ, got {seeds}: a repeated seed trains one run directory twice")
     out = Path(out_dir) if out_dir else Path(base_cfg.out_dir)

@@ -36,16 +36,72 @@ re-exports nothing and binds only `__version__`.
 reach everything else through the production API: `.flat`, `.layout`,
 `Layout.weight_views`/`bias_views` and `ParamSet.layers`;
 `tests/conftest.py` builds networks from `Layer` lists itself.
+
+The GELU's `erf` is scipy's ufunc, taken from the extension that defines
+it (`scipy.special._ufuncs`); `scipy.special` is registered with its
+`__init__` deferred until other code asks it for a name. That `__init__`
+builds scipy's array-API layer, which loads numpy.testing, numpy.f2py,
+unittest and more: most of the time and memory that importing
+scipy.special adds to a process, and none of it needed by the ufunc. The
+ufunc is the same object as `scipy.special.erf`, so no result moves.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erf
+
+
+def _defer_scipy_special_init():
+    """Register the ``scipy.special`` package without running its
+    ``__init__`` until some code asks it for a name it lacks.
+
+    The module is built from the package's own spec (real ``__path__``,
+    ``__spec__`` and ``__loader__``), so its submodules import as usual
+    and a later ``import scipy.special`` finds this same object. The first
+    missing-name lookup removes the hook, runs the real ``__init__`` in the
+    module and returns the name; an ``__init__`` that raises leaves no
+    module behind, as a failed import does."""
+    name = "scipy.special"
+    if name in sys.modules:
+        return
+    spec = importlib.util.find_spec(name)
+    module = importlib.util.module_from_spec(spec)
+    parent = sys.modules["scipy"]
+
+    def __getattr__(attr):
+        del module.__getattr__
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            sys.modules.pop(name, None)
+            vars(parent).pop("special", None)
+            raise
+        return getattr(module, attr)
+
+    module.__getattr__ = __getattr__
+    sys.modules[name] = module
+    parent.special = module
+
+
+# the same object as scipy.special.erf; the module docstring says why it
+# is not imported from scipy.special
+_defer_scipy_special_init()
+erf = importlib.import_module("scipy.special._ufuncs").erf
+
+# glibc hands a free heap top larger than its trim threshold back to the
+# system, and the threshold stays 128 KiB until freeing a block that malloc
+# had to mmap raises it to twice that block's size. An update's batch
+# temporaries free more than that at once, so each update would fault the
+# same pages in again (about 500 per update with the default 256-unit nets,
+# batch 256). Freeing one 8 MiB block at import sets the threshold to
+# 16 MiB; elsewhere it is one allocation and one free.
+np.empty(1 << 20)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

@@ -1000,6 +1000,17 @@ class TestCli:
         assert "seeds must differ, got [1, 1]" in capsys.readouterr().err
         assert not study.exists()
 
+    def test_empty_seed_list_refused_before_any_run(self, tmp_path, capsys):
+        """A bare --seeds parses as []; only an absent --seeds means the
+        config's seed, so [] is refused rather than training that seed."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.QUICK, "eval_episodes": 1, "total_iterations": 1}))
+        study = tmp_path / "study"
+        argv = ["ablate", "--study", "refinements", "--config", str(cfg_path), "--out", str(study), "--seeds"]
+        assert cli_main(argv) == 2
+        assert "seeds is empty" in capsys.readouterr().err
+        assert not study.exists()
+
     @pytest.mark.parametrize(
         "command, named",
         [

@@ -1,4 +1,10 @@
+import os
+import platform
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +235,113 @@ def test_init_bounds_follow_fan_in(rng):
     x = rng.standard_normal((3, 4))
     out, _ = mlp_forward(net, x)
     assert np.array_equal(out, gelu(x @ w0.T + net.layers[0].bias) @ w1.T + net.layers[1].bias)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh_interpreter(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports dsact from src/; an
+    assert that fails there fails the test with the child's stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_engine_import_skips_scipy_special_array_api_layer():
+    """The engine takes erf from scipy.special._ufuncs; scipy.special's
+    __init__, and the array-API layer it builds, do not run."""
+    _fresh_interpreter(
+        """
+        import sys
+        import dsact.harness, dsact.agent, dsact.cli
+        loaded = [m for m in ("scipy._lib._array_api", "numpy.f2py") if m in sys.modules]
+        assert not loaded, loaded
+        """
+    )
+
+
+@pytest.mark.parametrize("first", ["import dsact.numerics", "import scipy.special", "import scipy.stats"])
+def test_erf_is_scipy_special_erf_in_either_import_order(first):
+    _fresh_interpreter(
+        f"""
+        {first}
+        import scipy.special, dsact.numerics
+        assert scipy.special.erf is dsact.numerics.erf
+        """
+    )
+
+
+def test_scipy_special_stays_whole_after_engine_import():
+    """Importing dsact first leaves one scipy.special module, whose
+    names, submodules and dependents all work once asked for."""
+    _fresh_interpreter(
+        """
+        import sys
+        import dsact.numerics
+        import scipy.special
+        assert scipy.special.__all__
+        from scipy.special import ndtr
+        assert ndtr(0.0) == 0.5
+        import scipy.special._gufuncs
+        assert scipy.special._gufuncs is sys.modules["scipy.special._gufuncs"]
+        import scipy.stats
+        assert scipy.stats.norm.cdf(0.0) == 0.5
+        """
+    )
+
+
+def test_scipy_special_init_failure_leaves_no_module_and_a_retry_works():
+    """A deferred __init__ that raises unregisters the package, as a
+    failed import does, so the next import runs it afresh."""
+    _fresh_interpreter(
+        """
+        import importlib.machinery, sys
+        import dsact.numerics
+        loader, exec_module = importlib.machinery.SourceFileLoader, importlib.machinery.SourceFileLoader.exec_module
+
+        def failing(self, module):
+            if module.__name__ == "scipy.special":
+                raise ImportError("init failed")
+            return exec_module(self, module)
+
+        loader.exec_module = failing
+        try:
+            sys.modules["scipy.special"].ndtr
+        except ImportError as err:
+            assert str(err) == "init failed"
+        else:
+            raise AssertionError("the failing __init__ did not raise")
+        assert "scipy.special" not in sys.modules and "special" not in vars(sys.modules["scipy"])
+        loader.exec_module = exec_module
+        import scipy.special
+        assert scipy.special.erf is dsact.numerics.erf and scipy.special.ndtr(0.0) == 0.5
+        """
+    )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc trim threshold")
+def test_freed_batch_temporaries_stay_mapped():
+    """Freeing 4 MiB of 64 KiB arrays at the heap top, as an update frees
+    its batch temporaries, must not hand the pages back to the system
+    for the next round to fault in again (about 860 faults a round)."""
+    _fresh_interpreter(
+        """
+        import resource
+        import numpy as np
+        import dsact.numerics
+
+        def churn():
+            live = [np.ones(8192) for _ in range(64)]
+            del live
+
+        churn()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            churn()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 500, f"{faults} minor faults in 50 rounds"
+        """
+    )
