@@ -123,6 +123,8 @@ class RunConfig:
         for name in ("hidden_actor", "hidden_critic"):
             for i, h in enumerate(getattr(self, name)):
                 check_number(f"{name}[{i}]", h, "int", least=1)
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         if not isinstance(self.env_overrides, dict):
             raise ConfigError("env_overrides must be an object")
         if not isinstance(self.env, str) or self.env not in ENV_BUILDERS:
@@ -209,7 +211,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")

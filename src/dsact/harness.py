@@ -2,12 +2,15 @@
 ablation studies (`STUDIES`, arms of config fields over `train`), with
 CSV/JSON/SVG artifacts.
 
-Per iteration the loop collects a fixed number of environment steps
-with the stochastic policy, then (once the buffer is warm) runs one
-critic update per collected step; actor, temperature and target-network
-updates fire on every policy_delay-th critic update. All randomness is
-drawn from named streams derived from the run seed, so a config/seed
-pair reproduces metrics.csv bit-exactly.
+A run's state is one `RunState` with a method per phase, which `train`
+calls in order. Per iteration `collect` takes a fixed number of
+environment steps with the stochastic policy; `update` then (once the
+buffer is warm) runs one critic update per collected step, with actor,
+temperature and target-network updates on every policy_delay-th;
+`evaluate` writes a metrics.csv row at each eval point and `save` a
+checkpoint at each save point. All randomness is drawn from named
+streams derived from the run seed, so a config/seed pair reproduces
+metrics.csv bit-exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .actor import act_deterministic, act_stochastic, actor_gradient, policy_forward, temperature_update
-from .agent import AgentState, build_agent, load_checkpoint, save_checkpoint
+from .agent import build_agent, load_checkpoint, save_checkpoint
 from .baselines import build_variant
 from .charts import write_line_chart
 from .config import ConfigError, RunConfig, check_number
@@ -115,25 +118,6 @@ def evaluate(checkpoint: str | Path, episodes: int = 10, deterministic: bool = T
     )
 
 
-def _probe_metrics(agent: AgentState, buffer: ReplayBuffer, cfg: RunConfig, active, eval_index: int):
-    """Diagnostics over a probe batch; never touches training streams.
-    An eval follows at least one push, so the buffer is never empty."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, _PROBE_TAG, eval_index])
-    )
-    batch = buffer.sample(min(cfg.batch_size, buffer.count), rng)
-    s, a = batch.s, batch.a
-    q_means, sigma_means = [], []
-    for i in active:
-        q, sigma, _, _ = critic_forward(agent.critics.theta[i], s, a)
-        q_means.append(np.mean(q))
-        sigma_means.append(np.mean(sigma))
-    dist = policy_forward(agent.phi, s)
-    _, logp = policy_sample(dist, rng.standard_normal(dist.mu.shape))
-    entropy = float(np.mean(-logp))
-    return float(np.mean(q_means)), float(np.mean(sigma_means)), entropy
-
-
 def _write_metrics(path: Path, rows: list[tuple]) -> None:
     """metrics.csv whole, header and one line per eval row, written
     atomically, so a failed or killed write leaves the previous evals."""
@@ -148,137 +132,152 @@ def _write_json(path: Path, doc: dict) -> None:
     write_atomic(path, lambda f: f.write(text.encode()))
 
 
+class RunState:
+    """One run between its phases, built from a validated config: the env
+    and its current obs, the nine streams, the agent, the kernel-bound
+    critic update and its active critics, the replay ring, the target
+    entropy, the eval rows (METRICS_COLUMNS order) and the name of the
+    last checkpoint saved. Building it resets the env, drawing from the
+    env stream only."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg, self.out = cfg, Path(cfg.out_dir)
+        self.env = make_env(cfg.env, cfg.env_overrides)
+        self.streams = make_streams(cfg.seed)
+        self.agent = build_agent(cfg, self.env.spec, self.streams)
+        spec = cfg.kernel()
+        self.update_step, self.active = build_variant(spec), spec.active_critics
+        self.buffer = ReplayBuffer(cfg.buffer_capacity)
+        act_dim = self.env.spec.act_dim
+        self.target_entropy = -float(act_dim) if cfg.target_entropy is None else cfg.target_entropy
+        self.rows: list[tuple] = []
+        self.checkpoint: str | None = None
+        self.obs = self._reset()
+
+    def _reset(self):
+        return self.env.reset(int(self.streams["env"].integers(0, 2**63)))
+
+    def collect(self) -> None:
+        """samples_per_iteration steps of the stochastic policy into the
+        ring, rewards scaled; a finished episode resets the env."""
+        cfg = self.cfg
+        for _ in range(cfg.samples_per_iteration):
+            a, _ = act_stochastic(self.agent.phi, self.obs, self.streams["policy"])
+            obs2, r, done, truncated = self.env.step(a)
+            self.buffer.push(self.obs, a, r * cfg.reward_scale, obs2, done)
+            self.obs = self._reset() if done or truncated else obs2
+
+    def update(self) -> None:
+        """Once the ring holds warm_size rows, `cfg.updates` critic
+        updates, each policy_delay-th followed by the actor, temperature
+        and target-network updates; then the iteration ends, and a
+        non-finite parameter raises NumericalError."""
+        cfg, agent, streams = self.cfg, self.agent, self.streams
+        critics = agent.critics
+        if self.buffer.count >= cfg.warm_size:
+            for _ in range(cfg.updates):
+                batch = self.buffer.sample(cfg.batch_size, streams["replay"])
+                self.update_step(critics, batch, agent.phi_bar, agent.alpha, cfg, streams["targets"])
+                # every update steps critic 1's Adam
+                if critics.adam[0].step % cfg.policy_delay == 0:
+                    grads = actor_gradient(agent.phi, batch.s, critics, agent.alpha, streams["actor_noise"], self.active)
+                    adam_step(agent.adam_actor, agent.phi, grads, cfg.lr_actor)
+                    dist = policy_forward(agent.phi, batch.s)
+                    _, logp = policy_sample(dist, streams["temp_noise"].standard_normal(dist.mu.shape))
+                    agent.alpha = temperature_update(agent.alpha, logp, self.target_entropy, cfg.lr_alpha)
+                    for i in self.active:
+                        soft_update(critics.theta[i], critics.theta_bar[i], cfg.tau)
+                    soft_update(agent.phi, agent.phi_bar, cfg.tau)
+        agent.iteration += 1
+        if not params_all_finite(agent.phi) or not all(params_all_finite(critics.theta[i]) for i in self.active):
+            raise NumericalError(
+                f"non-finite parameters at iteration {agent.iteration} "
+                f"(alpha={agent.alpha:.3g}, b={critics.b}, omega={critics.omega})"
+            )
+
+    def evaluate(self) -> float:
+        """Append the next metrics.csv row and rewrite the file; returns
+        the row's deterministic eval return. The eval episodes and the
+        probe batch draw from streams of the seed and the eval's index,
+        never from a training stream; an eval follows at least one push,
+        so the ring is never empty."""
+        cfg, agent = self.cfg, self.agent
+        eval_index = len(self.rows) + 1
+        avg_return, _ = evaluate_policy(
+            agent.phi, self.env, cfg.eval_episodes, deterministic=True, seed_parts=(cfg.seed, _EVAL_TAG, eval_index)
+        )
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _PROBE_TAG, eval_index]))
+        batch = self.buffer.sample(min(cfg.batch_size, self.buffer.count), rng)
+        forwards = (critic_forward(agent.critics.theta[i], batch.s, batch.a) for i in self.active)
+        q_means, sigma_means = zip(*[(np.mean(q), np.mean(sigma)) for q, sigma, _, _ in forwards])
+        dist = policy_forward(agent.phi, batch.s)
+        _, logp = policy_sample(dist, rng.standard_normal(dist.mu.shape))
+        self.rows.append((
+            agent.iteration, agent.iteration * cfg.samples_per_iteration, avg_return,
+            float(np.mean(q_means)), float(np.mean(sigma_means)), agent.alpha,
+            *agent.critics.b, *agent.critics.omega, float(np.mean(-logp)), None,  # no bias_estimate yet
+        ))
+        _write_metrics(self.out / "metrics.csv", self.rows)
+        return avg_return
+
+    def save(self) -> None:
+        """checkpoint_<iteration>.npz in the run directory."""
+        self.checkpoint = f"checkpoint_{self.agent.iteration}.npz"
+        save_checkpoint(self.out / self.checkpoint, self.agent, self.cfg, self.env.spec)
+
+
 def train(cfg: RunConfig) -> dict:
     """Run the full loop; returns the summary document (also saved).
 
+    Each iteration collects, then updates; an eval every eval_interval
+    iterations and at the last; a checkpoint at iteration 0, each multiple
+    of checkpoint_interval and the iteration the run ends at, each once.
     A non-finite parameter or gradient halts the run, with diagnostics
     written next to the other artifacts before the error propagates.
     """
     cfg.validate()
-    out = Path(cfg.out_dir)
+    started, out = time.perf_counter(), Path(cfg.out_dir)
     try:
-        return _train_inner(cfg, out)
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir {cfg.out_dir!r} cannot hold a run: {exc}") from exc
+    stopped_early = False
+    try:
+        run = RunState(cfg)
+        run.save()
+        _write_metrics(out / "metrics.csv", run.rows)
+        for iteration in range(1, cfg.total_iterations + 1):
+            run.collect()
+            run.update()
+            last = iteration == cfg.total_iterations
+            if iteration % cfg.eval_interval == 0 or last:
+                avg_return = run.evaluate()  # every due eval runs, stop_return or not
+                stopped_early = cfg.stop_return is not None and avg_return >= cfg.stop_return
+            if stopped_early or last or (cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0):
+                run.save()
+            if stopped_early:
+                break
     except NumericalError as exc:
         _write_json(out / "diagnostics.json", {"error": str(exc), "config": cfg.to_jsonable()})
         raise
 
-
-def _train_inner(cfg: RunConfig, out: Path) -> dict:
-    started = time.perf_counter()
-    out.mkdir(parents=True, exist_ok=True)
-    env = make_env(cfg.env, cfg.env_overrides)
-    streams = make_streams(cfg.seed)
-    agent = build_agent(cfg, env.spec, streams)
-    spec = cfg.kernel()
-    update_step = build_variant(spec)
-    active = spec.active_critics
-    buffer = ReplayBuffer(cfg.buffer_capacity)
-    target_entropy = -float(env.spec.act_dim) if cfg.target_entropy is None else cfg.target_entropy
-    # every update steps critic 1's Adam, and every actor update the actor's
-    critic_adam, actor_adam = agent.critics.adam[0], agent.adam_actor
-
-    # a checkpoint at iteration 0, each multiple of checkpoint_interval and the iteration the run ends at, each once
-    checkpoint = "checkpoint_0.npz"
-    save_checkpoint(out / checkpoint, agent, cfg, env.spec)
-    rows: list[tuple] = []  # one per eval, in METRICS_COLUMNS order
-    metrics_path = out / "metrics.csv"
-    _write_metrics(metrics_path, rows)
-    stopped_early = False
-
-    obs = env.reset(int(streams["env"].integers(0, 2**63)))
-    for iteration in range(1, cfg.total_iterations + 1):
-        for _ in range(cfg.samples_per_iteration):
-            a, _ = act_stochastic(agent.phi, obs, streams["policy"])
-            obs2, r, done, truncated = env.step(a)
-            buffer.push(obs, a, r * cfg.reward_scale, obs2, done)
-            if done or truncated:
-                obs = env.reset(int(streams["env"].integers(0, 2**63)))
-            else:
-                obs = obs2
-        if buffer.count >= cfg.warm_size:
-            for _ in range(cfg.updates):
-                batch = buffer.sample(cfg.batch_size, streams["replay"])
-                update_step(
-                    agent.critics,
-                    batch,
-                    agent.phi_bar,
-                    agent.alpha,
-                    cfg,
-                    streams["targets"],
-                )
-                if critic_adam.step % cfg.policy_delay == 0:
-                    s_batch = batch.s
-                    grads = actor_gradient(
-                        agent.phi,
-                        s_batch,
-                        agent.critics,
-                        agent.alpha,
-                        streams["actor_noise"],
-                        active,
-                    )
-                    adam_step(actor_adam, agent.phi, grads, cfg.lr_actor)
-                    dist = policy_forward(agent.phi, s_batch)
-                    noise = streams["temp_noise"].standard_normal(dist.mu.shape)
-                    _, logp = policy_sample(dist, noise)
-                    agent.alpha = temperature_update(agent.alpha, logp, target_entropy, cfg.lr_alpha)
-                    for i in active:
-                        soft_update(agent.critics.theta[i], agent.critics.theta_bar[i], cfg.tau)
-                    soft_update(agent.phi, agent.phi_bar, cfg.tau)
-        agent.iteration = iteration
-
-        if not params_all_finite(agent.phi) or not all(
-            params_all_finite(agent.critics.theta[i]) for i in active
-        ):
-            raise NumericalError(
-                f"non-finite parameters at iteration {iteration} "
-                f"(alpha={agent.alpha:.3g}, b={agent.critics.b}, "
-                f"omega={agent.critics.omega})"
-            )
-
-        if iteration % cfg.eval_interval == 0 or iteration == cfg.total_iterations:
-            eval_index = len(rows) + 1
-            env_steps = iteration * cfg.samples_per_iteration
-            avg_return, _ = evaluate_policy(
-                agent.phi,
-                env,
-                cfg.eval_episodes,
-                deterministic=True,
-                seed_parts=(cfg.seed, _EVAL_TAG, eval_index),
-            )
-            q_mean, sigma_mean, entropy = _probe_metrics(
-                agent, buffer, cfg, active, eval_index
-            )
-            row = (
-                iteration, env_steps, avg_return, q_mean, sigma_mean, agent.alpha,
-                *agent.critics.b, *agent.critics.omega, entropy, None,  # no bias_estimate yet
-            )
-            rows.append(row)
-            _write_metrics(metrics_path, rows)
-            stopped_early = cfg.stop_return is not None and avg_return >= cfg.stop_return
-        last = stopped_early or iteration == cfg.total_iterations
-        if last or (cfg.checkpoint_interval and iteration % cfg.checkpoint_interval == 0):
-            checkpoint = f"checkpoint_{iteration}.npz"
-            save_checkpoint(out / checkpoint, agent, cfg, env.spec)
-        if stopped_early:
-            break
-
-    curve = {c: [row[METRICS_COLUMNS.index(c)] for row in rows] for c in ("env_steps", "avg_return")}
-    if rows:
+    curve = {c: [row[METRICS_COLUMNS.index(c)] for row in run.rows] for c in ("env_steps", "avg_return")}
+    if run.rows:
         series = {"avg_return": (curve["env_steps"], curve["avg_return"])}
         write_line_chart(out / "curves.svg", series, f"{cfg.algorithm} on {cfg.env}", "env steps", "return")
     summary = {
         "config": cfg.to_jsonable(),
-        "env_fixture": env.fixture_constants(),
+        "env_fixture": run.env.fixture_constants(),
         "build_id": build_id(),
-        "iterations_run": agent.iteration,
-        "env_steps": agent.iteration * cfg.samples_per_iteration,
-        "critic_updates": critic_adam.step,
-        "actor_updates": actor_adam.step,
-        "final_return": curve["avg_return"][-1] if rows else None,
-        "final_alpha": agent.alpha,
+        "iterations_run": run.agent.iteration,
+        "env_steps": run.agent.iteration * cfg.samples_per_iteration,
+        "critic_updates": run.agent.critics.adam[0].step,
+        "actor_updates": run.agent.adam_actor.step,
+        "final_return": curve["avg_return"][-1] if run.rows else None,
+        "final_alpha": run.agent.alpha,
         "stopped_early": stopped_early,
         "runtime_s": time.perf_counter() - started,
-        "checkpoint": checkpoint,
+        "checkpoint": run.checkpoint,
         "curve": curve,
     }
     _write_json(out / "summary.json", summary)

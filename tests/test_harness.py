@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import io
 import json
+import multiprocessing
 import re
 import tracemalloc
 import warnings
@@ -625,6 +626,26 @@ class TestTrain:
         assert summary["stopped_early"]
         assert summary["iterations_run"] == 2  # first eval point
 
+    def test_spawned_process_writes_the_same_bytes(self, tmp_path):
+        """A run trained in a fresh interpreter (a spawn child, with its
+        own imports, hash seed and heap) writes the metrics.csv this
+        process writes for the same config."""
+        here = tiny_cfg(tmp_path / "here")
+        there = dataclasses.replace(here, out_dir=str(tmp_path / "there"))
+        child = multiprocessing.get_context("spawn").Process(target=train, args=(there,))
+        child.start()
+        try:
+            train(here)
+        finally:
+            child.join(timeout=120)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        rows = (Path(here.out_dir) / "metrics.csv").read_bytes()
+        assert rows.count(b"\n") == 4  # the header and three evals, updates from iteration 2
+        assert (Path(there.out_dir) / "metrics.csv").read_bytes() == rows
+
 
 class TestEvaluate:
     def test_single_episode_zero_std(self, tmp_path):
@@ -963,6 +984,9 @@ class TestCli:
             ({"twin_distributions": 0.5}, "twin_distributions must be true, false or null, got 0.5"),
             # a ring smaller than the warm-up never fills it, so no update would run
             ({"warm_size": 200, "buffer_capacity": 100}, "warm_size 200 exceeds buffer_capacity 100"),
+            # the run directory is a path
+            ({"out_dir": None}, "out_dir must be a string, got None"),
+            ({"out_dir": 5}, "out_dir must be a string, got 5"),
         ],
     )
     def test_config_error_names_the_key_exit_code(self, tmp_path, capsys, overrides, named):
@@ -1074,6 +1098,28 @@ class TestCli:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["train", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe{}")
+        assert cli_main(["train", "--config", str(cfg_path)]) == 2
+        assert f"cannot read config {cfg_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_out_dir_on_a_file_exit_code(self, tmp_path, capsys, command):
+        """An out_dir that is, or lies under, a regular file is refused
+        before anything trains, and the file is left as it was."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.QUICK, "eval_episodes": 1, "total_iterations": 1}))
+        argv = ["--config", str(cfg_path), "--out", str(blocker)]
+        if command == "ablate":
+            argv = ["--study", "refinements", *argv]
+        assert cli_main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert "config error: out_dir" in err and str(blocker) in err
+        assert blocker.read_text() == "kept"
 
     def test_numerical_failure_exit_code_and_diagnostics(self, tmp_path, capsys):
         # an absurd learning rate overflows the forward pass to NaN
