@@ -352,6 +352,7 @@ STUDIES = {
         "full": {},
         "no-evs": {"expected_value_substitution": False},
         "single-dist": {"twin_distributions": False},
+        "no-va": {"variance_adjustment": False},
     },
     "reward-scale": {
         f"scale-{s:g}-{kernel}": {"reward_scale": s, **fields}

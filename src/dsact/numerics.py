@@ -37,8 +37,11 @@ reach everything else through the production API: `.flat`, `.layout`,
 `Layout.weight_views`/`bias_views` and `ParamSet.layers`;
 `tests/conftest.py` builds networks from `Layer` lists itself.
 
-The GELU's `erf` is scipy's ufunc, taken from the extension that defines
-it (`scipy.special._ufuncs`); `scipy.special` is registered with its
+The GELU's `erf` is scipy's ufunc, taken from the one extension that
+defines it, `scipy.special._special_ufuncs`. `scipy.special._ufuncs`
+re-exports it but also loads four more extensions (about 3 MiB of a
+process's peak RSS), so it serves only a SciPy whose `_special_ufuncs` is
+missing or has no `erf`. `scipy.special` is registered with its
 `__init__` deferred until other code asks it for a name. That `__init__`
 builds scipy's array-API layer, which loads numpy.testing, numpy.f2py,
 unittest and more: most of the time and memory that importing
@@ -90,9 +93,12 @@ def _defer_scipy_special_init():
 
 
 # the same object as scipy.special.erf; the module docstring says why it
-# is not imported from scipy.special
+# is not imported from scipy.special, nor from _ufuncs where it can be avoided
 _defer_scipy_special_init()
-erf = importlib.import_module("scipy.special._ufuncs").erf
+try:
+    erf = importlib.import_module("scipy.special._special_ufuncs").erf
+except (ModuleNotFoundError, AttributeError):
+    erf = importlib.import_module("scipy.special._ufuncs").erf
 
 # glibc hands a free heap top larger than its trim threshold back to the
 # system, and the threshold stays 128 KiB until freeing a block that malloc

@@ -765,7 +765,7 @@ class TestAblation:
     def test_refinements_study_structure(self, tmp_path):
         cfg = tiny_cfg(tmp_path, total_iterations=4)
         report = run_ablation("refinements", cfg, seeds=[7, 8], out_dir=tmp_path / "study")
-        assert set(report["arms"]) == {"full", "no-evs", "single-dist"}
+        assert set(report["arms"]) == {"full", "no-evs", "single-dist", "no-va"}
         for arm, info in report["arms"].items():
             assert len(info["runs"]) == 2
             assert (tmp_path / "study" / arm / "seed7" / "metrics.csv").exists()
@@ -779,7 +779,7 @@ class TestAblation:
         cfg = tiny_cfg(tmp_path, total_iterations=6)
         run_ablation("refinements", cfg, seeds=[7, 8], out_dir=tmp_path / "study")
         report = json.loads((tmp_path / "study" / "report.json").read_text())
-        assert list(report["arms"]) == ["full", "no-evs", "single-dist"]
+        assert list(report["arms"]) == ["full", "no-evs", "single-dist", "no-va"]
         for arm, info in report["arms"].items():
             steps, returns = [], []
             for seed in (7, 8):

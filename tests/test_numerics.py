@@ -251,14 +251,46 @@ def _fresh_interpreter(code: str) -> None:
 
 
 def test_engine_import_skips_scipy_special_array_api_layer():
-    """The engine takes erf from scipy.special._ufuncs; scipy.special's
-    __init__, and the array-API layer it builds, do not run."""
+    """The engine takes erf from scipy.special._special_ufuncs, the one
+    extension that defines it: scipy.special's __init__, the array-API
+    layer it builds, and the four extensions _ufuncs loads do not run."""
     _fresh_interpreter(
         """
         import sys
         import dsact.harness, dsact.agent, dsact.cli
         loaded = [m for m in ("scipy._lib._array_api", "numpy.f2py") if m in sys.modules]
         assert not loaded, loaded
+        special = sorted(m for m in sys.modules if m.startswith("scipy.special"))
+        assert special == ["scipy.special", "scipy.special._special_ufuncs"], special
+        """
+    )
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    ["return types.ModuleType(name)", "raise ModuleNotFoundError(name)"],
+    ids=["no-erf", "missing"],
+)
+def test_erf_falls_back_to_ufuncs(lookup):
+    """Where _special_ufuncs has no erf or is missing, the engine takes
+    it from _ufuncs. Only the engine's lookup is stubbed: _ufuncs loads
+    the real _special_ufuncs through the C import API."""
+    _fresh_interpreter(
+        f"""
+        import importlib, sys, types
+        import_module = importlib.import_module
+
+        def stubbed(name, package=None):
+            if name == "scipy.special._special_ufuncs":
+                {lookup}
+            return import_module(name, package)
+
+        importlib.import_module = stubbed
+        import dsact.numerics
+        importlib.import_module = import_module
+        assert "scipy.special._ufuncs" in sys.modules
+        import scipy.special
+        assert dsact.numerics.erf is scipy.special.erf
         """
     )
 
@@ -287,6 +319,8 @@ def test_scipy_special_stays_whole_after_engine_import():
         assert ndtr(0.0) == 0.5
         import scipy.special._gufuncs
         assert scipy.special._gufuncs is sys.modules["scipy.special._gufuncs"]
+        import scipy.special._ufuncs
+        assert scipy.special._ufuncs.erf is dsact.numerics.erf
         import scipy.stats
         assert scipy.stats.norm.cdf(0.0) == 0.5
         """
