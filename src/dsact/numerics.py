@@ -38,67 +38,56 @@ reach everything else through the production API: `.flat`, `.layout`,
 `tests/conftest.py` builds networks from `Layer` lists itself.
 
 The GELU's `erf` is scipy's ufunc, taken from the one extension that
-defines it, `scipy.special._special_ufuncs`. `scipy.special._ufuncs`
-re-exports it but also loads four more extensions (about 3 MiB of a
-process's peak RSS), so it serves only a SciPy whose `_special_ufuncs` is
-missing or has no `erf`. `scipy.special` is registered with its
-`__init__` deferred until other code asks it for a name. That `__init__`
-builds scipy's array-API layer, which loads numpy.testing, numpy.f2py,
-unittest and more: most of the time and memory that importing
-scipy.special adds to a process, and none of it needed by the ufunc. The
-ufunc is the same object as `scipy.special.erf`, so no result moves.
+defines it, `scipy.special._special_ufuncs`, loaded by path (`_scipy_erf`).
+Importing `scipy.special` itself runs its `__init__`, which builds
+scipy's array-API layer (numpy.testing, numpy.f2py, unittest and more)
+and loads four more extensions through `scipy.special._ufuncs`: most of
+the time and memory that importing scipy.special adds to a process, and
+none of it needed by the ufunc. The ufunc is the same object as
+`scipy.special.erf`, so no result moves.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy
 
 
-def _defer_scipy_special_init():
-    """Register the ``scipy.special`` package without running its
-    ``__init__`` until some code asks it for a name it lacks.
+def _scipy_erf():
+    """scipy's ``erf`` ufunc, from the one extension that defines it.
 
-    The module is built from the package's own spec (real ``__path__``,
-    ``__spec__`` and ``__loader__``), so its submodules import as usual
-    and a later ``import scipy.special`` finds this same object. The first
-    missing-name lookup removes the hook, runs the real ``__init__`` in the
-    module and returns the name; an ``__init__`` that raises leaves no
-    module behind, as a failed import does."""
-    name = "scipy.special"
-    if name in sys.modules:
-        return
-    spec = importlib.util.find_spec(name)
-    module = importlib.util.module_from_spec(spec)
-    parent = sys.modules["scipy"]
-
-    def __getattr__(attr):
-        del module.__getattr__
-        try:
+    The extension is loaded by path, without importing ``scipy.special``,
+    and its ``sys.modules`` entry is dropped again: left there, its dotted
+    name would sit in ``sys.modules`` without its package, and a later
+    ``import scipy.special`` could not bind it as an attribute. The
+    extension uses single-phase init, so that later import gets the same
+    ufunc objects. A SciPy whose ``_special_ufuncs`` is missing or has no
+    ``erf`` gets it from ``scipy.special``."""
+    name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
+    if module is None:
+        path = [os.path.join(entry, "special") for entry in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-        except BaseException:
             sys.modules.pop(name, None)
-            vars(parent).pop("special", None)
-            raise
-        return getattr(module, attr)
+    if hasattr(module, "erf"):
+        return module.erf
+    from scipy.special import erf
 
-    module.__getattr__ = __getattr__
-    sys.modules[name] = module
-    parent.special = module
+    return erf
 
 
-# the same object as scipy.special.erf; the module docstring says why it
-# is not imported from scipy.special, nor from _ufuncs where it can be avoided
-_defer_scipy_special_init()
-try:
-    erf = importlib.import_module("scipy.special._special_ufuncs").erf
-except (ModuleNotFoundError, AttributeError):
-    erf = importlib.import_module("scipy.special._ufuncs").erf
+erf = _scipy_erf()
 
 # glibc hands a free heap top larger than its trim threshold back to the
 # system, and the threshold stays 128 KiB until freeing a block that malloc

@@ -251,9 +251,10 @@ def _fresh_interpreter(code: str) -> None:
 
 
 def test_engine_import_skips_scipy_special_array_api_layer():
-    """The engine takes erf from scipy.special._special_ufuncs, the one
-    extension that defines it: scipy.special's __init__, the array-API
-    layer it builds, and the four extensions _ufuncs loads do not run."""
+    """The engine takes erf from scipy.special._special_ufuncs, loaded by
+    path: no scipy.special module stays loaded, nor the array-API layer
+    scipy.special's __init__ builds. A later import of the extension
+    binds it on its package as usual."""
     _fresh_interpreter(
         """
         import sys
@@ -261,34 +262,59 @@ def test_engine_import_skips_scipy_special_array_api_layer():
         loaded = [m for m in ("scipy._lib._array_api", "numpy.f2py") if m in sys.modules]
         assert not loaded, loaded
         special = sorted(m for m in sys.modules if m.startswith("scipy.special"))
-        assert special == ["scipy.special", "scipy.special._special_ufuncs"], special
+        assert not special, special
+        import scipy
+        import scipy.special._special_ufuncs as m
+        assert scipy.special._special_ufuncs is m
+        assert m.erf is dsact.numerics.erf
+        """
+    )
+
+
+def test_engine_import_keeps_scipys_own_special_ufuncs():
+    """Where scipy.special is already imported, the engine uses its
+    _special_ufuncs module and leaves it registered."""
+    _fresh_interpreter(
+        """
+        import sys
+        import scipy.special
+        before = sys.modules["scipy.special._special_ufuncs"]
+        import dsact.numerics
+        assert sys.modules["scipy.special._special_ufuncs"] is before
+        assert dsact.numerics.erf is before.erf is scipy.special.erf
         """
     )
 
 
 @pytest.mark.parametrize(
-    "lookup",
-    ["return types.ModuleType(name)", "raise ModuleNotFoundError(name)"],
-    ids=["no-erf", "missing"],
+    "stub",
+    [
+        "importlib.machinery.PathFinder, 'find_spec', lambda name, path=None, target=None: None",
+        "importlib.util, 'module_from_spec', lambda spec: types.ModuleType(spec.name)",
+    ],
+    ids=["missing", "no-erf"],
 )
-def test_erf_falls_back_to_ufuncs(lookup):
-    """Where _special_ufuncs has no erf or is missing, the engine takes
-    it from _ufuncs. Only the engine's lookup is stubbed: _ufuncs loads
-    the real _special_ufuncs through the C import API."""
+def test_erf_falls_back_to_scipy_special(stub):
+    """Where the engine's lookup of _special_ufuncs finds no extension, or
+    one without erf, it takes erf from scipy.special. The stub answers the
+    engine's first call for that name only, so scipy.special's own import
+    of the extension runs as usual."""
     _fresh_interpreter(
         f"""
-        import importlib, sys, types
-        import_module = importlib.import_module
+        import importlib.machinery, importlib.util, sys, types
+        owner, attr, answer = {stub}
+        saved, real = vars(owner)[attr], getattr(owner, attr)
 
-        def stubbed(name, package=None):
-            if name == "scipy.special._special_ufuncs":
-                {lookup}
-            return import_module(name, package)
+        def once(first, *args):
+            if getattr(first, "name", first) != "scipy.special._special_ufuncs":
+                return real(first, *args)
+            setattr(owner, attr, saved)
+            return answer(first, *args)
 
-        importlib.import_module = stubbed
+        setattr(owner, attr, once)
         import dsact.numerics
-        importlib.import_module = import_module
-        assert "scipy.special._ufuncs" in sys.modules
+        assert vars(owner)[attr] is saved, "the engine did not look the extension up"
+        assert "scipy.special" in sys.modules
         import scipy.special
         assert dsact.numerics.erf is scipy.special.erf
         """
@@ -323,35 +349,6 @@ def test_scipy_special_stays_whole_after_engine_import():
         assert scipy.special._ufuncs.erf is dsact.numerics.erf
         import scipy.stats
         assert scipy.stats.norm.cdf(0.0) == 0.5
-        """
-    )
-
-
-def test_scipy_special_init_failure_leaves_no_module_and_a_retry_works():
-    """A deferred __init__ that raises unregisters the package, as a
-    failed import does, so the next import runs it afresh."""
-    _fresh_interpreter(
-        """
-        import importlib.machinery, sys
-        import dsact.numerics
-        loader, exec_module = importlib.machinery.SourceFileLoader, importlib.machinery.SourceFileLoader.exec_module
-
-        def failing(self, module):
-            if module.__name__ == "scipy.special":
-                raise ImportError("init failed")
-            return exec_module(self, module)
-
-        loader.exec_module = failing
-        try:
-            sys.modules["scipy.special"].ndtr
-        except ImportError as err:
-            assert str(err) == "init failed"
-        else:
-            raise AssertionError("the failing __init__ did not raise")
-        assert "scipy.special" not in sys.modules and "special" not in vars(sys.modules["scipy"])
-        loader.exec_module = exec_module
-        import scipy.special
-        assert scipy.special.erf is dsact.numerics.erf and scipy.special.ndtr(0.0) == 0.5
         """
     )
 
