@@ -6,8 +6,11 @@ current mean, the two-coefficient gradient kernel with its epsilon
 guards, the moving-average clipping boundary b and gradient scale
 omega, and target-network synchronization. A frozen `KernelSpec` says
 which of the paper's refinements an update applies; `critic_update`
-runs every kernel from it, the full one by default, and `baselines`
-holds the spec of each named family.
+runs every kernel from it through `assemble_critic_gradient`, and
+`baselines` holds the spec of each named family. The tests replay the
+fixed-boundary and SAC kernels against two judges no engine path
+calls, `_assemble_fixed_boundary_gradient` and `_assemble_sac_gradient`,
+kept here only because the benchmark's tracer names them.
 """
 
 from __future__ import annotations
@@ -140,13 +143,15 @@ def build_targets(
     alpha: float,
     gamma: float,
     rng: np.random.Generator,
-    twin: bool = True,
-    draw_z: bool = True,
+    spec: KernelSpec = KernelSpec(),
 ):
-    """Vectorized targets: one fresh next action and one shared z-draw
-    per sample, both reused by the two critics' updates.
+    """Vectorized targets under the kernel `spec`: one fresh next action
+    and one shared z-draw per sample, both reused by the two critics'
+    updates. A twin kernel takes the smaller target mean; a
+    non-distributional kernel draws no z.
 
-    Returns (y_q, y_z, chosen, sigma_next) arrays; chosen is 0-based.
+    Returns (y_q, y_z, chosen, sigma_next); chosen is 0-based, and y_z
+    is None when `spec` is not distributional.
     """
     raw, _ = mlp_forward(policy_target, s2)
     dist = policy_head(raw)
@@ -156,7 +161,7 @@ def build_targets(
     x = critic_input(s2, a2)
     q_next, sigma_next = value_head_batch(mlp_forward(state.theta_bar[0], x)[0])
     raw_1, _ = mlp_forward(state.theta_bar[1], x)
-    if twin:
+    if spec.twin_distributions:
         q_1, sigma_1 = value_head_batch(raw_1)
         first = q_next <= q_1
         chosen = np.where(first, 0, 1)
@@ -170,15 +175,14 @@ def build_targets(
     y_q = q_next - alpha_logp  # the entropy-adjusted next value
     y_q *= discount
     y_q += r
-    if draw_z:
+    y_z = None
+    if spec.distributional:
         z_noise = rng.standard_normal(len(r))
         y_z = sigma_next * z_noise
         y_z += q_next  # the random next value z
         y_z -= alpha_logp
         y_z *= discount
         y_z += r
-    else:
-        y_z = y_q.copy()
     return y_q, y_z, chosen, sigma_next
 
 
@@ -200,29 +204,35 @@ def assemble_critic_gradient(
     s: np.ndarray,
     a: np.ndarray,
     mean_target: np.ndarray,
-    y_z: np.ndarray,
+    y_z: np.ndarray | None,
     b: float,
     eps: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch-mean parameter gradient of the two-coefficient kernel.
 
     The random target is clipped against this critic's current means
-    with boundary b before entering the sigma coefficient.
+    with boundary b before entering the sigma coefficient. With no
+    random target (y_z None) it is SAC's mean-squared TD on the mean
+    channel: the sigma channel carries no gradient, and b and eps are
+    unused.
     """
     q, sigma, raw, cache = critic_forward(theta, s, a)
-    y_z_clipped = clip_target(y_z, q, b)
-    g_q, g_sigma = _coeff_arrays(mean_target, y_z_clipped, q, sigma, eps)
-    g_sigma *= value_head_sigma_grad(raw[:, 1])
-    grads, _ = mlp_backward(theta, cache, _output_grad(g_q, g_sigma))
+    if y_z is None:
+        g_out = _output_grad(-(mean_target - q))
+    else:
+        g_q, g_sigma = _coeff_arrays(mean_target, clip_target(y_z, q, b), q, sigma, eps)
+        g_sigma *= value_head_sigma_grad(raw[:, 1])
+        g_out = _output_grad(g_q, g_sigma)
+    grads, _ = mlp_backward(theta, cache, g_out)
     return grads, q, sigma
 
 
 def _assemble_fixed_boundary_gradient(theta, s, a, mean_target, y_z, b):
-    # pre-adjustment kernel: fixed b, bare sigma powers, no eps guards.
-    # critic_update runs it as assemble_critic_gradient(..., b, eps=0.0),
-    # which matches bit for bit: the value head keeps sigma >= SIGMA_MIN,
-    # so the floor never binds, and x + 0.0 == x for the positive powers.
-    # Kept as the reference the kernel tests replay against.
+    # judge of the pre-adjustment kernel: fixed b, bare sigma powers, no
+    # eps guards. critic_update runs it as assemble_critic_gradient(..., b,
+    # eps=0.0), which matches bit for bit: the value head keeps
+    # sigma >= SIGMA_MIN, so the floor never binds, and x + 0.0 == x for
+    # the positive powers.
     q, sigma, raw, cache = critic_forward(theta, s, a)
     sigma = np.maximum(sigma, SIGMA_FLOOR_V1)
     y_z_clipped = clip_target(y_z, q, b)
@@ -233,7 +243,8 @@ def _assemble_fixed_boundary_gradient(theta, s, a, mean_target, y_z, b):
 
 
 def _assemble_sac_gradient(theta, s, a, y_q):
-    # mean-squared TD kernel; the sigma channel carries no gradient
+    # judge of the mean-squared TD kernel (assemble_critic_gradient with
+    # y_z None); the sigma channel carries no gradient
     q, sigma, raw, cache = critic_forward(theta, s, a)
     grads, _ = mlp_backward(theta, cache, _output_grad(-(y_q - q)))
     return grads, q, sigma
@@ -257,32 +268,14 @@ def critic_update(
     if not batch:
         raise ValueError("batch must be non-empty")
     s, a, r, s2, mask = batch_arrays(batch)
-    y_q, y_z, _, _ = build_targets(
-        state,
-        s2,
-        r,
-        mask,
-        policy_target,
-        alpha,
-        cfg.gamma,
-        rng,
-        twin=spec.twin_distributions,
-        draw_z=spec.distributional,
-    )
-    mean_target = y_q if spec.expected_value_substitution else y_z
+    y_q, y_z, _, _ = build_targets(state, s2, r, mask, policy_target, alpha, cfg.gamma, rng, spec)
+    mean_target = y_q if spec.expected_value_substitution or y_z is None else y_z
     adaptive = spec.distributional and spec.variance_adjustment
     for i in spec.active_critics:
-        if not spec.distributional:
-            grads, q, sigma = _assemble_sac_gradient(state.theta[i], s, a, y_q)
-        elif adaptive:
-            grads, q, sigma = assemble_critic_gradient(
-                state.theta[i], s, a, mean_target, y_z, state.b[i], cfg.eps
-            )
+        b, eps = (state.b[i], cfg.eps) if adaptive else (spec.fixed_b, 0.0)
+        grads, q, sigma = assemble_critic_gradient(state.theta[i], s, a, mean_target, y_z, b, eps)
+        if adaptive:
             grads *= state.omega[i] + cfg.eps_omega
-        else:
-            grads, q, sigma = assemble_critic_gradient(
-                state.theta[i], s, a, mean_target, y_z, spec.fixed_b, 0.0
-            )
         try:
             adam_step(state.adam[i], state.theta[i], grads, cfg.lr_critic)
         except NumericalError as exc:
@@ -290,7 +283,7 @@ def critic_update(
                 "non-finite critic gradient "
                 f"(critic {i + 1}, q range [{np.min(q):.3g}, {np.max(q):.3g}], "
                 f"sigma range [{np.min(sigma):.3g}, {np.max(sigma):.3g}], "
-                f"target range [{np.min(y_q):.3g}, {np.max(y_q):.3g}])"
+                f"mean target range [{np.min(mean_target):.3g}, {np.max(mean_target):.3g}])"
             ) from exc
         if adaptive:
             # the first refresh, right after a critic's first Adam step, seeds b and omega

@@ -24,9 +24,11 @@ goes in as a 1-row batch (``obs[None]``) and its row 0 comes back.
 
 A name in `dsact` exists only if engine code, the CLI or the benchmark
 (`perfbench/`) calls it, or if it is a judge the tests hold production
-to: the oracles (`finite_diff_grad`, `numeric_soft_q`),
-`critic._assemble_fixed_boundary_gradient`, `gelu`/`gelu_grad` as the
-named form of the production GELU, `distributions.policy_logprob` as
+to: the oracles (`finite_diff_grad`, `numeric_soft_q`), the kernel
+judges `critic._assemble_fixed_boundary_gradient` and
+`critic._assemble_sac_gradient` (kept in `critic` only because the
+benchmark's tracer names them), `gelu`/`gelu_grad` as the named form
+of the production GELU, `distributions.policy_logprob` as
 the named form of the log density `policy_sample` returns, and
 `environments.point_robot_reference_action`, the controller that
 validates the point-robot fixture. Each name has one import path, the

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+from dsact import critic
 from dsact.baselines import build_variant
 from dsact.config import ConfigError, RunConfig, config_from_dict
 from dsact.critic import (
@@ -15,7 +16,7 @@ from dsact.critic import (
     _assemble_sac_gradient,
     update_boundary_scale,
 )
-from dsact.numerics import adam_step, init_mlp
+from dsact.numerics import NumericalError, adam_step, init_mlp
 
 from conftest import params_equal
 from scalar_reference import grad_coeff_sac, grad_coeffs_dsact, grad_coeffs_v1
@@ -25,6 +26,18 @@ from test_critic import KernelCfg, make_batch, make_pair
 def kernel(**flags):
     """The kernel spec a run config with these fields resolves to."""
     return RunConfig(**flags).kernel()
+
+
+# the run-config fields of each kernel the families and ablations run
+KERNELS = {
+    "dsact": {},
+    "no-evs": {"expected_value_substitution": False},
+    "single-dist": {"twin_distributions": False},
+    "no-va": {"variance_adjustment": False},
+    "dsacv1": {"algorithm": "dsacv1"},
+    "sac": {"algorithm": "sac"},
+    "sac-single": {"algorithm": "sac", "twin_distributions": False},
+}
 
 
 def test_v1_zero_mean_coefficient():
@@ -165,8 +178,8 @@ def test_dsacv1_composition(rng):
     policy = init_mlp(np.random.default_rng(8), [3, 8, 2])
     batch = make_batch(rng, n=6)
     cfg = KernelCfg()
-    step = build_variant(kernel(algorithm="dsacv1"))
-    step(pair, batch, policy, 0.2, cfg, np.random.default_rng(4))
+    spec = kernel(algorithm="dsacv1")
+    build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(4))
 
     # critic 2 untouched, boundary stats untouched
     assert params_equal(pair.theta[1], pair2.theta[1])
@@ -174,9 +187,7 @@ def test_dsacv1_composition(rng):
 
     # manual replay: single-critic targets, y_z in the mean term, b = 20
     s, a, r, s2, mask = batch_arrays(batch)
-    y_q, y_z, chosen, _ = build_targets(
-        pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(4), twin=False
-    )
+    y_q, y_z, chosen, _ = build_targets(pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(4), spec)
     assert np.all(chosen == 0)
     grads, _, _ = _assemble_fixed_boundary_gradient(
         pair2.theta[0], s, a, y_z, y_z, 20.0
@@ -193,13 +204,11 @@ def test_fixed_boundary_keeps_expected_target(rng):
     policy = init_mlp(np.random.default_rng(6), [3, 8, 2])
     batch = make_batch(rng, n=6)
     cfg = KernelCfg()
-    step = build_variant(kernel(variance_adjustment=False))
-    step(pair, batch, policy, 0.2, cfg, np.random.default_rng(12))
+    spec = kernel(variance_adjustment=False)
+    build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(12))
 
     s, a, r, s2, mask = batch_arrays(batch)
-    y_q, y_z, _, _ = build_targets(
-        pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(12), twin=True
-    )
+    y_q, y_z, _, _ = build_targets(pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(12), spec)
     for i in range(2):
         grads, _, _ = _assemble_fixed_boundary_gradient(
             pair2.theta[i], s, a, y_q, y_z, 20.0
@@ -216,14 +225,11 @@ def test_sac_composition(rng):
     policy = init_mlp(np.random.default_rng(2), [3, 8, 2])
     batch = make_batch(rng, n=6)
     cfg = KernelCfg()
-    step = build_variant(kernel(algorithm="sac"))
-    step(pair, batch, policy, 0.2, cfg, np.random.default_rng(33))
+    spec = kernel(algorithm="sac")
+    build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(33))
 
     s, a, r, s2, mask = batch_arrays(batch)
-    y_q, _, _, _ = build_targets(
-        pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(33),
-        twin=True, draw_z=False,
-    )
+    y_q, _, _, _ = build_targets(pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(33), spec)
     for i in range(2):
         grads, _, _ = _assemble_sac_gradient(pair2.theta[i], s, a, y_q)
         adam_step(pair2.adam[i], pair2.theta[i], grads, cfg.lr_critic)
@@ -244,13 +250,11 @@ def test_no_evs_composition(rng):
     policy = init_mlp(np.random.default_rng(5), [3, 8, 2])
     batch = make_batch(rng, n=6)
     cfg = KernelCfg()
-    step = build_variant(kernel(expected_value_substitution=False))
-    step(pair, batch, policy, 0.2, cfg, np.random.default_rng(19))
+    spec = kernel(expected_value_substitution=False)
+    build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(19))
 
     s, a, r, s2, mask = batch_arrays(batch)
-    y_q, y_z, _, _ = build_targets(
-        pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(19), twin=True
-    )
+    y_q, y_z, _, _ = build_targets(pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(19), spec)
     assert not np.array_equal(y_q, y_z)
     for i in range(2):
         grads, _, sigma = assemble_critic_gradient(
@@ -275,17 +279,15 @@ def test_single_dist_composition(rng):
     policy = init_mlp(np.random.default_rng(7), [3, 8, 2])
     batch = make_batch(rng, n=6)
     cfg = KernelCfg()
-    step = build_variant(kernel(twin_distributions=False))
-    step(pair, batch, policy, 0.2, cfg, np.random.default_rng(15))
+    spec = kernel(twin_distributions=False)
+    build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(15))
 
     # critic 2 untouched, and so are its boundary stats
     assert params_equal(pair.theta[1], pair2.theta[1])
     assert pair.b[1] == 0.0 and pair.omega[1] == 0.0
 
     s, a, r, s2, mask = batch_arrays(batch)
-    y_q, y_z, chosen, _ = build_targets(
-        pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(15), twin=False
-    )
+    y_q, y_z, chosen, _ = build_targets(pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(15), spec)
     assert np.all(chosen == 0)
     grads, _, sigma = assemble_critic_gradient(pair2.theta[0], s, a, y_q, y_z, 0.0, cfg.eps)
     adam_step(pair2.adam[0], pair2.theta[0], grads * cfg.eps_omega, cfg.lr_critic)
@@ -302,22 +304,18 @@ def test_sac_single_composition(rng):
     policy = init_mlp(np.random.default_rng(9), [3, 8, 2])
     batch = make_batch(rng, n=6)
     cfg = KernelCfg()
-    step = build_variant(kernel(algorithm="sac", twin_distributions=False))
-    step(pair, batch, policy, 0.2, cfg, np.random.default_rng(35))
+    spec = kernel(algorithm="sac", twin_distributions=False)
+    build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(35))
 
     assert params_equal(pair.theta[1], pair2.theta[1])
     assert pair.b == [0.0, 0.0] and pair.omega == [0.0, 0.0]
 
     s, a, r, s2, mask = batch_arrays(batch)
-    y_q, _, chosen, _ = build_targets(
-        pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(35),
-        twin=False, draw_z=False,
-    )
+    y_q, _, chosen, _ = build_targets(pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(35), spec)
     assert np.all(chosen == 0)
     # the twin minimum would have taken critic 2's target somewhere
     _, _, twin_chosen, _ = build_targets(
-        pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(35),
-        twin=True, draw_z=False,
+        pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(35), kernel(algorithm="sac")
     )
     assert np.any(twin_chosen == 1)
     grads, _, _ = _assemble_sac_gradient(pair2.theta[0], s, a, y_q)
@@ -343,3 +341,85 @@ def test_variant_fixed_points_share_zero():
     assert grad_coeff_sac(1.0, 1.0) == 0.0
     assert grad_coeffs_dsact(0.0, 3.0, 1.0, 2.0, 0.0).g_sigma == 0.0
     assert grad_coeffs_v1(0.0, 3.0, 1.0, 2.0).g_sigma == 0.0
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_every_kernel_runs_through_one_assembler(name, rng, monkeypatch):
+    """One update calls `assemble_critic_gradient` once per active critic,
+    and neither judge, whatever the family."""
+    spec = kernel(**KERNELS[name])
+
+    def judge(*args, **kwargs):
+        raise AssertionError("an engine path called a judge")
+
+    calls = []
+
+    def counted(theta, *args):
+        calls.append(theta)
+        return assemble_critic_gradient(theta, *args)
+
+    monkeypatch.setattr(critic, "_assemble_sac_gradient", judge)
+    monkeypatch.setattr(critic, "_assemble_fixed_boundary_gradient", judge)
+    monkeypatch.setattr(critic, "assemble_critic_gradient", counted)
+    pair = make_pair(seed=61)
+    policy = init_mlp(np.random.default_rng(1), [3, 8, 2])
+    critic_update(pair, make_batch(rng, n=6), policy, 0.2, KernelCfg(), np.random.default_rng(2), spec)
+    assert calls == [pair.theta[i] for i in spec.active_critics]
+    assert [pair.adam[i].step for i in (0, 1)] == [int(i in spec.active_critics) for i in (0, 1)]
+
+
+def test_non_distributional_targets_draw_no_z(rng):
+    """A non-distributional spec's targets have no random target, and
+    the stream advances by the next-action noise alone."""
+    pair = make_pair(seed=63)
+    policy = init_mlp(np.random.default_rng(4), [3, 8, 2])
+    s, a, r, s2, mask = batch_arrays(make_batch(rng, n=7))
+    stream = np.random.default_rng(21)
+    y_q, y_z, _, _ = build_targets(pair, s2, r, mask, policy, 0.2, 0.99, stream, kernel(algorithm="sac"))
+    assert y_z is None
+    replay = np.random.default_rng(21)
+    replay.standard_normal((7, 1))  # the next-action noise
+    assert np.array_equal(stream.standard_normal(4), replay.standard_normal(4))
+    # the distributional twin kernel forms the same expected target, then draws z
+    y_q_full, y_z_full, _, _ = build_targets(
+        pair, s2, r, mask, policy, 0.2, 0.99, np.random.default_rng(21), kernel()
+    )
+    assert np.array_equal(y_q, y_q_full) and y_z_full.shape == y_q.shape
+
+
+def _range(x):
+    return f"[{np.min(x):.3g}, {np.max(x):.3g}]"
+
+
+@pytest.mark.parametrize("name", ["dsact", "dsacv1", "sac"])
+def test_non_finite_critic_gradient_names_the_critic_and_its_ranges(name, rng, monkeypatch):
+    """The error names the failing critic, its q and sigma ranges, and the
+    range of the mean target its kernel used: the random target under
+    dsacv1, the expected one otherwise."""
+    spec = kernel(**KERNELS[name])
+    last = spec.active_critics[-1]
+    pair = make_pair(seed=67)
+    pair2 = copy.deepcopy(pair)
+    policy = init_mlp(np.random.default_rng(6), [3, 8, 2])
+    batch = make_batch(rng, n=6)
+
+    def failing_adam_step(state, params, grads, lr):
+        if params is pair.theta[last]:
+            raise NumericalError("non-finite gradient")
+        return adam_step(state, params, grads, lr)
+
+    monkeypatch.setattr(critic, "adam_step", failing_adam_step)
+    with pytest.raises(NumericalError) as info:
+        critic_update(pair, batch, policy, 0.2, KernelCfg(), np.random.default_rng(8), spec)
+
+    s, a, r, s2, mask = batch_arrays(batch)
+    y_q, y_z, _, _ = build_targets(pair2, s2, r, mask, policy, 0.2, KernelCfg.gamma, np.random.default_rng(8), spec)
+    q, sigma, _, _ = critic_forward(pair2.theta[last], s, a)
+    mean_target = y_q if spec.expected_value_substitution else y_z
+    message = str(info.value)
+    assert f"critic {last + 1}," in message
+    assert f"q range {_range(q)}" in message
+    assert f"sigma range {_range(sigma)}" in message
+    assert f"mean target range {_range(mean_target)})" in message
+    if name == "dsacv1":
+        assert _range(y_q) != _range(y_z)

@@ -16,7 +16,7 @@ import pytest
 
 from dsact.actor import actor_gradient, actor_sizes
 from dsact.config import RunConfig
-from dsact.critic import CriticPairState, build_targets, critic_update, init_critic_pair
+from dsact.critic import CriticPairState, KernelSpec, build_targets, critic_update, init_critic_pair
 from dsact.environments import PendulumEnv
 from dsact.numerics import init_mlp
 from dsact.replay import Batch
@@ -71,11 +71,11 @@ def test_twin_swap_commutes_with_the_update():
     rng = np.random.default_rng(5)
     for k in range(50):
         batch = random_batch(rng)
-        # with twin=False each pair's target is formed from its own critic 1's target
-        # mean alone; a tie of the two critics' means would make these targets equal there
+        # with a single-critic spec each pair's target is formed from its own critic 1's
+        # target mean alone; a tie of the two critics' means would make these targets equal there
         y_first, y_second = (
             build_targets(pair, batch.s_next, batch.r, 1.0 - batch.done, policy, ALPHA, cfg.gamma,
-                          np.random.default_rng(k), twin=False)[0]
+                          np.random.default_rng(k), KernelSpec(twin_distributions=False))[0]
             for pair in (state, mirror)
         )
         assert not np.any(y_first == y_second)
