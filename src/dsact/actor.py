@@ -84,10 +84,7 @@ def actor_gradient(
         raw_i, cache_i = mlp_forward(critics.theta[i], x)
         q_vals.append(raw_i[:, 0])
         caches.append(cache_i)
-    if len(active) == 1:
-        choice = np.zeros(n, dtype=int)
-    else:
-        choice = np.argmin(np.stack(q_vals, axis=0), axis=0)
+    choice = np.argmin(np.stack(q_vals, axis=0), axis=0)  # all 0 for one active critic
 
     # dQ/da of the per-sample chosen critic, via masked input gradients
     dq_da = np.zeros((n, d))

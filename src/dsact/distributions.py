@@ -70,12 +70,6 @@ _A_MAX = np.nextafter(1.0, 0.0)  # tanh saturates to exactly 1.0 past |u| ~ 19
 _A_LO, _A_HI = np.array(-_A_MAX), np.array(_A_MAX)
 
 
-def _squashed_logprob(u, mu, std, t):
-    """Sum over the last axis of the Gaussian log density at u minus the
-    tanh correction log(1 - t^2 + EPS_TANH), given t = tanh(u)."""
-    return (gaussian_logpdf(u, mu, std) - np.log(_ONE - t * t + _EPS_TANH)).sum(axis=-1)
-
-
 def reparameterized_draw(dist: PolicyDistParams, noise: np.ndarray):
     """The one reparameterized draw u = mu + std * noise; returns
     (a, std, u, t) with std = exp(log_std), t = tanh(u), and the action
@@ -96,19 +90,12 @@ def policy_sample(dist: PolicyDistParams, noise: np.ndarray):
     """The squashed action of `reparameterized_draw` and its log
     density under the policy: (a, logp).
 
-    It reuses the draw's std and tanh(u), with the same floats as
-    ``policy_logprob(dist, u)``.
+    logp sums, over the action dimensions, the Gaussian log density at
+    the pre-squash point u and the tanh change-of-variables correction
+    -log(1 - tanh(u)^2 + EPS_TANH), reusing the draw's std and tanh(u).
+    This is the engine's one log density.
     """
     a, std, u, t = reparameterized_draw(dist, noise)
-    return a, _squashed_logprob(u, dist.mu, std, t)
+    logp = gaussian_logpdf(u, dist.mu, std) - np.log(_ONE - t * t + _EPS_TANH)
+    return a, logp.sum(axis=-1)
 
-
-def policy_logprob(dist: PolicyDistParams, u: np.ndarray) -> np.ndarray:
-    """Log density of the squashed action a = tanh(u) under the policy.
-
-    Sums the per-dimension Gaussian log density at the pre-squash point
-    and the tanh change-of-variables correction. The named form of the
-    log density ``policy_sample`` returns, bit for bit.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    return _squashed_logprob(u, dist.mu, np.exp(dist.log_std), np.tanh(u))

@@ -23,17 +23,19 @@ the (batch, in_dim) shape it expects. `actor.act_stochastic` and
 goes in as a 1-row batch (``obs[None]``) and its row 0 comes back.
 
 A name in `dsact` exists only if engine code, the CLI or the benchmark
-(`perfbench/`) calls it, or if it is a judge the tests hold production
-to: the oracles (`finite_diff_grad`, `numeric_soft_q`), the kernel
-judges `critic._assemble_fixed_boundary_gradient` and
+(`perfbench/`) calls it, or if it is an independent judge the tests
+hold production to: the oracles (`finite_diff_grad`, `numeric_soft_q`),
+the kernel judges `critic._assemble_fixed_boundary_gradient` and
 `critic._assemble_sac_gradient` (kept in `critic` only because the
-benchmark's tracer names them), `gelu`/`gelu_grad` as the named form
-of the production GELU, `distributions.policy_logprob` as
-the named form of the log density `policy_sample` returns, and
+benchmark's tracer names them), and
 `environments.point_robot_reference_action`, the controller that
-validates the point-robot fixture. Each name has one import path, the
-module that defines it: the package namespace (`dsact/__init__.py`)
-re-exports nothing and binds only `__version__`.
+validates the point-robot fixture. A named wrapper of production code
+is no judge: the tests reach the GELU through `mlp_forward` and
+`mlp_backward`, and the policy's log density through `policy_sample`,
+and hold both to the formulas `tests/scalar_reference.py` spells out.
+Each name has one import path, the module that defines it: the package
+namespace (`dsact/__init__.py`) re-exports nothing and binds only
+`__version__`.
 `tests/test_name_rule.py` checks both rules with an AST scan. Tests
 reach everything else through the production API: `.flat`, `.layout`,
 `Layout.weight_views`/`bias_views` and `ParamSet.layers`;
@@ -120,7 +122,7 @@ def _gelu_cdf(z):
 
     Computed as 0.5 * (1 + erf(z * (1 / sqrt 2))) in one buffer: the scaled
     input, then erf written over it, then the two in-place steps. ``z``
-    has at least one dimension (`gelu` and `gelu_grad` pass a 1-d view)."""
+    is a hidden layer's (batch, width) pre-activation from `mlp_forward`."""
     cdf = z * _INV_SQRT2
     erf(cdf, out=cdf)
     cdf += _ONE
@@ -138,23 +140,6 @@ def _gelu_slope(z, cdf):
     slope *= bell
     slope += cdf
     return slope
-
-
-def _as_vector(x):
-    # a 1-d float64 view, so the in-place helpers also take 0-d and Python floats
-    return np.asarray(x, dtype=np.float64).reshape(-1)
-
-
-def gelu(x):
-    """x * Phi(x), as mlp_forward computes it."""
-    z = _as_vector(x)
-    return (z * _gelu_cdf(z)).reshape(np.shape(x))
-
-
-def gelu_grad(x):
-    """Derivative of gelu, as mlp_backward computes it."""
-    z = _as_vector(x)
-    return _gelu_slope(z, _gelu_cdf(z)).reshape(np.shape(x))
 
 
 @dataclass

@@ -187,12 +187,12 @@ def numeric_soft_q(
     the refinement moves any Q entry by more than ``refine_tol``.
     Returns the finer solution.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     if not 0 <= gamma < 1:
         raise ValueError("gamma must be in [0, 1)")
-    if grid_step > 1e-3:
-        raise ValueError("grid resolution must be <= 1e-3")
+    if not 0 < grid_step <= 1e-3:
+        raise ValueError(f"grid_step must be in (0, 1e-3], got {grid_step}")
     coarse = _solve_chain(chain, alpha, gamma, grid_step)
     fine = _solve_chain(chain, alpha, gamma, grid_step / 2.0)
     drift = np.max(np.abs(coarse[1] - fine[1][:, ::2]))

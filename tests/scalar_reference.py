@@ -3,16 +3,21 @@
 The production path works on whole batches; these one-sample versions
 spell out the printed formulas so tests can check the batched code,
 and the kernels' fixed points and scale laws, one sample at a time.
+None of them calls the engine's private code: the GELU and its slope
+use `math.erf`, the policy's log density and the critic coefficients
+are written out term by term (in the engine's op order, so a test may
+compare them with ``==``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from dsact.critic import SIGMA_FLOOR_V1, _coeff_arrays
-from dsact.distributions import SIGMA_MIN, softplus
+from dsact.critic import SIGMA_FLOOR_V1
+from dsact.distributions import EPS_TANH, SIGMA_MIN, softplus
 
 
 @dataclass
@@ -34,6 +39,29 @@ class TargetPair:
 class GradCoeffs:
     g_q: float
     g_sigma: float
+
+
+def gelu(x: float) -> float:
+    """GELU(x) = x * Phi(x), with Phi(x) = (1 + erf(x / sqrt 2)) / 2."""
+    return x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def gelu_slope(x: float) -> float:
+    """GELU'(x) = Phi(x) + x * phi(x), phi the standard normal density."""
+    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) + x * pdf
+
+
+def squashed_logprob(u, mu, log_std):
+    """Log density of the action tanh(u) under the tanh-squashed Gaussian
+    policy (mu, exp(log_std)), summed over the last (action) axis:
+    sum of -((u - mu) / sigma)^2 / 2 - log sigma - log(2 pi) / 2
+    - log(1 - tanh(u)^2 + EPS_TANH). Works on one row or a batch of rows."""
+    sigma = np.exp(log_std)
+    z = (u - mu) / sigma
+    t = np.tanh(u)
+    terms = -0.5 * z * z - np.log(sigma) - 0.5 * np.log(2.0 * np.pi) - np.log(1.0 - t * t + EPS_TANH)
+    return terms.sum(axis=-1)
 
 
 def value_head(raw_mean: float, raw_spread: float) -> ValueDistParams:
@@ -68,6 +96,15 @@ def compute_targets(
     return TargetPair(float(y_q), float(y_z), chosen_index)
 
 
+def grad_coeff_arrays(mean_target, y_z_clipped, q, sigma, eps):
+    """The printed critic coefficients, elementwise:
+    g_q = -(mean_target - q) / (sigma^2 + eps) and
+    g_sigma = -((y_z_clipped - q)^2 - sigma^2) / (sigma^3 + eps)."""
+    g_q = -(mean_target - q) / (sigma * sigma + eps)
+    g_sigma = -((y_z_clipped - q) ** 2 - sigma * sigma) / (sigma**3 + eps)
+    return g_q, g_sigma
+
+
 def grad_coeffs_dsact(
     y_q: float, y_z_clipped: float, q: float, sigma: float, eps: float
 ) -> GradCoeffs:
@@ -76,7 +113,7 @@ def grad_coeffs_dsact(
     q and sigma are treated as constants here; the caller chains the
     coefficients through the network backward pass.
     """
-    g_q, g_sigma = _coeff_arrays(
+    g_q, g_sigma = grad_coeff_arrays(
         np.float64(y_q), np.float64(y_z_clipped), np.float64(q), np.float64(sigma), eps
     )
     return GradCoeffs(float(g_q), float(g_sigma))
@@ -86,7 +123,7 @@ def grad_coeffs_v1(y_z: float, y_z_clipped: float, q: float, sigma: float) -> Gr
     """Pre-refinement coefficients: random target in the mean term, no
     epsilon guards; sigma is floored rather than regularized."""
     sigma = max(float(sigma), SIGMA_FLOOR_V1)
-    g_q, g_sigma = _coeff_arrays(
+    g_q, g_sigma = grad_coeff_arrays(
         np.float64(y_z), np.float64(y_z_clipped), np.float64(q), np.float64(sigma), 0.0
     )
     return GradCoeffs(float(g_q), float(g_sigma))

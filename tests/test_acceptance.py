@@ -24,16 +24,15 @@ from dsact.critic import (
     clip_target,
     critic_forward,
     init_critic_pair,
-    _coeff_arrays,
 )
-from dsact.distributions import LOG_STD_MAX, LOG_STD_MIN, PolicyDistParams, policy_logprob
+from dsact.distributions import LOG_STD_MAX, LOG_STD_MIN
 from dsact.environments import ChainSpec
 from dsact.harness import collect_on_policy_pairs, train
 from dsact.numerics import init_mlp, mlp_forward
 from dsact.oracles import finite_diff_grad, numeric_soft_q
 
 from conftest import clip_one, grad_rel_err
-from scalar_reference import grad_coeffs_dsact
+from scalar_reference import grad_coeff_arrays, grad_coeffs_dsact, squashed_logprob
 
 pytestmark = pytest.mark.acceptance
 
@@ -82,7 +81,7 @@ def test_criterion_1_gradient_oracle_suite():
             b = float(rng.uniform(0.5, 5))
             eps = 0.1
             grads, q, sigma = assemble_critic_gradient(theta, s, a, y_q, y_z, b, eps)
-            g_q, g_sigma = _coeff_arrays(y_q, clip_target(y_z, q, b), q, sigma, eps)
+            g_q, g_sigma = grad_coeff_arrays(y_q, clip_target(y_z, q, b), q, sigma, eps)
 
             def critic_scalar(p):
                 qq, ss, _, _ = critic_forward(p, s, a)
@@ -104,7 +103,7 @@ def test_criterion_1_gradient_oracle_suite():
                 u = mu + np.exp(ls) * zeta
                 t = np.tanh(u)
                 qs = [critic_forward(pair.theta[i], s, t)[0] for i in (0, 1)]
-                lp = policy_logprob(PolicyDistParams(mu, ls), u)
+                lp = squashed_logprob(u, mu, ls)
                 return float(np.mean(alpha * lp - np.minimum(qs[0], qs[1])))
 
             fd = finite_diff_grad(actor_loss, phi, 1e-5)

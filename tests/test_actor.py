@@ -18,15 +18,14 @@ from dsact.distributions import (
     EPS_TANH,
     LOG_STD_MAX,
     LOG_STD_MIN,
-    PolicyDistParams,
     policy_head,
-    policy_logprob,
     policy_sample,
 )
 from dsact.numerics import init_mlp, mlp_forward
 from dsact.oracles import finite_diff_grad
 
 from conftest import grad_rel_err
+from scalar_reference import squashed_logprob
 
 
 def make_setup(seed=0, obs_dim=3, act_dim=2, hidden=(8, 8), n=4):
@@ -52,7 +51,7 @@ def sampled_loss(phi, critics, states, alpha, noise_seed, active=(0, 1)):
     a = np.tanh(u)
     qs = [critic_forward(critics.theta[i], states, a)[0] for i in active]
     q_min = np.min(np.stack(qs, axis=0), axis=0)
-    lp = policy_logprob(PolicyDistParams(mu, ls), u)
+    lp = squashed_logprob(u, mu, ls)
     return float(np.mean(alpha * lp - q_min))
 
 

@@ -16,12 +16,12 @@ from dsact.critic import (
     soft_update,
     update_boundary_scale,
 )
-from dsact.distributions import policy_head, policy_logprob
+from dsact.distributions import policy_head
 from dsact.numerics import adam_step, init_mlp, mlp_forward
 from dsact.replay import Batch
 
 from conftest import clip_one, fresh_adam, params_equal
-from scalar_reference import compute_targets, grad_coeffs_dsact, select_min_target
+from scalar_reference import compute_targets, grad_coeffs_dsact, select_min_target, squashed_logprob
 
 
 def make_pair(seed=0, obs_dim=3, act_dim=1, hidden=(8, 8)):
@@ -235,7 +235,7 @@ def test_build_targets_matches_scalar_op(rng):
         idx = select_min_target(q_bars[0][j], q_bars[1][j])
         q_next = q_bars[idx - 1][j]
         z_draw = q_next + sig_bars[idx - 1][j] * z_noise_all[j]
-        logp = policy_logprob(policy_head(raw[j : j + 1]), u[j : j + 1])[0]
+        logp = squashed_logprob(u[j], dist.mu[j], dist.log_std[j])
         t = compute_targets(r[j], batch.done[j], q_next, z_draw, logp, alpha, gamma, idx)
         assert y_q[j] == pytest.approx(t.y_q, rel=1e-12, abs=1e-12)
         assert y_z[j] == pytest.approx(t.y_z, rel=1e-12, abs=1e-12)
@@ -258,7 +258,7 @@ def test_twin_min_dominance(rng):
         noise = rng2.standard_normal(dist.mu.shape)
         u = dist.mu + np.exp(dist.log_std) * noise
         a2 = np.tanh(u)
-        logp = policy_logprob(dist, u)
+        logp = squashed_logprob(u, dist.mu, dist.log_std)
         q_i = critic_forward(pair.theta_bar[forced], s2, a2)[0]
         y_q_forced = r + mask * 0.97 * (q_i - 0.25 * logp)
         assert np.all(y_q_min <= y_q_forced + 1e-12)

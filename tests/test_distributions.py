@@ -10,12 +10,11 @@ from dsact.distributions import (
     SIGMA_MIN,
     PolicyDistParams,
     gaussian_logpdf,
-    policy_logprob,
     policy_sample,
     value_head_batch,
 )
 
-from scalar_reference import ValueDistParams, sample_value, value_head
+from scalar_reference import ValueDistParams, sample_value, squashed_logprob, value_head
 
 
 def test_logpdf_standard_normal_at_mode():
@@ -70,13 +69,13 @@ def test_policy_sample_zero_noise_is_mode():
     dist = PolicyDistParams(np.array([0.3, -1.0]), np.array([0.0, 0.5]))
     a, logp = policy_sample(dist, np.zeros(2))
     assert np.allclose(a, np.tanh(dist.mu))
-    assert logp == policy_logprob(dist, dist.mu)
+    assert logp == squashed_logprob(dist.mu, dist.mu, dist.log_std)
 
 
 def test_policy_sample_unit_noise():
     dist = PolicyDistParams(np.array([0.0]), np.array([0.0]))
     a, logp = policy_sample(dist, np.array([1.0]))
-    assert logp == policy_logprob(dist, np.array([1.0]))
+    assert logp == squashed_logprob(np.array([1.0]), dist.mu, dist.log_std)
     assert a[0] == pytest.approx(np.tanh(1.0), abs=1e-12)
     assert a[0] == pytest.approx(0.76159, abs=1e-5)
 
@@ -88,39 +87,30 @@ def test_policy_sample_stays_inside_box(rng):
         assert np.all(np.abs(a) < 1.0)
 
 
-def test_policy_logprob_at_origin():
+def test_policy_sample_logp_at_origin():
     dist = PolicyDistParams(np.array([0.0]), np.array([0.0]))
     want = -0.9189385332046727 - np.log(1.0 + EPS_TANH)
-    assert policy_logprob(dist, np.array([0.0])) == pytest.approx(want, abs=1e-12)
+    assert policy_sample(dist, np.array([0.0]))[1] == pytest.approx(want, abs=1e-12)
 
 
-def test_policy_logprob_decreases_with_log_std_at_mode():
+def test_policy_sample_logp_decreases_with_log_std_at_mode():
     prev = np.inf
     for ls in (-1.0, 0.0, 1.0):
         dist = PolicyDistParams(np.array([0.2]), np.array([ls]))
-        lp = policy_logprob(dist, np.array([0.2]))
+        _, lp = policy_sample(dist, np.array([0.0]))
         assert lp < prev
         prev = lp
 
 
-def test_policy_logprob_normalizes_over_actions(rng):
-    # Monte-Carlo estimate of the integral of the squashed density
+def test_policy_sample_density_normalizes_over_actions():
+    """exp(logp) of policy_sample, on a grid of actions reached by
+    choosing each draw's noise, integrates to one over (-1, 1)."""
     dist = PolicyDistParams(np.array([0.4]), np.array([-0.3]))
-    n = 1_000_000
-    noise = rng.standard_normal((n, 1))
-    u = dist.mu + np.exp(dist.log_std) * noise
-    a = np.tanh(u)
-    # importance estimate: E_a~pi[1] via uniform grid instead: evaluate
-    # exp(logprob) on a grid of actions and integrate
     grid_a = np.linspace(-1 + 1e-9, 1 - 1e-9, 200001)
-    grid_u = np.arctanh(grid_a)
-    base = gaussian_logpdf(grid_u, dist.mu[0], np.exp(dist.log_std[0]))
-    corr = np.log(1 - np.tanh(grid_u) ** 2 + EPS_TANH)
-    density = np.exp(base - corr)
-    total = simpson(density, x=grid_a)
+    noise = (np.arctanh(grid_a)[:, None] - dist.mu) / np.exp(dist.log_std)
+    _, logp = policy_sample(dist, noise)
+    total = simpson(np.exp(logp), x=grid_a)
     assert total == pytest.approx(1.0, abs=0.01)
-    # and the sampler lands inside the box
-    assert np.all(np.abs(a) < 1)
 
 
 def test_reparameterization_matches_density_ks(rng):
@@ -155,17 +145,15 @@ def test_sample_value_clt_bounds(rng):
 
 
 @pytest.mark.parametrize("shape", [(1,), (1, 1), (1, 3), (128, 1), (128, 3)])
-def test_fused_sample_logp_is_policy_logprob_bit_for_bit(rng, shape):
+def test_sample_logp_is_the_squashed_density_bit_for_bit(rng, shape):
     # log_std at both clamps and in between; |u| past 19 saturates tanh to 1.0
     mu = rng.choice([-40.0, -19.5, -1.0, 0.0, 0.3, 19.5, 40.0], size=shape)
     log_std = rng.choice([LOG_STD_MIN, -3.0, 0.0, LOG_STD_MAX], size=shape)
     mu.flat[0], log_std.flat[0], log_std.flat[-1] = 40.0, LOG_STD_MIN, LOG_STD_MAX
     noise = rng.standard_normal(shape)
-    dist = PolicyDistParams(mu, log_std)
-    a, logp = policy_sample(dist, noise)
+    a, logp = policy_sample(PolicyDistParams(mu, log_std), noise)
     u = mu + np.exp(log_std) * noise
     assert np.abs(u.flat[0]) > 19
-    want = policy_logprob(dist, u)
-    assert type(logp) is type(want)
-    assert np.array_equal(logp, want)
+    assert np.shape(logp) == shape[:-1]
+    assert np.array_equal(logp, squashed_logprob(u, mu, log_std))
     assert np.array_equal(a, np.tanh(u).clip(-np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)))

@@ -20,12 +20,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dsact"
 
-# public names that only the tests call: each is the named, checkable
-# form of what production computes, or an independent check of it
+# public names that only the tests call: each is an independent check of
+# what production computes, not a named wrapper of production code
 JUDGES = {
-    "gelu",
-    "gelu_grad",
-    "policy_logprob",
     "finite_diff_grad",
     "numeric_soft_q",
     "point_robot_reference_action",

@@ -13,8 +13,6 @@ from dsact.numerics import (
     Layer,
     NumericalError,
     adam_step,
-    gelu,
-    gelu_grad,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -22,36 +20,56 @@ from dsact.numerics import (
 from dsact.oracles import finite_diff_grad
 
 from conftest import fresh_adam, grad_rel_err, net_from_layers, pack, params_equal, random_net
+from scalar_reference import gelu, gelu_slope
 
-
-def test_gelu_fixed_points():
-    assert gelu(0.0) == 0.0
-    assert abs(gelu(10.0) - 10.0) / 10.0 < 1e-9
-    assert abs(gelu(-10.0)) < 1e-8
-
-
-def test_gelu_takes_scalars_and_0d_arrays():
-    """The in-place GELU helpers see a 1-d view; scalar inputs keep
-    their shape and the values of a 1-d call."""
-    assert gelu_grad(0.0) == 0.5
-    xs = np.array([-3.0, -0.5, 0.0, 0.25, 4.0])
-    for f in (gelu, gelu_grad):
-        for j, x in enumerate(xs):
-            for form in (float(x), np.array(x), np.float64(x)):
-                out = f(form)
-                assert np.shape(out) == () and out == f(xs)[j]
-    assert gelu(np.zeros((2, 0, 3))).shape == (2, 0, 3)
-
-
-def test_gelu_derivative_matches_central_differences():
-    xs = np.linspace(-4, 4, 41)
-    h = 1e-6
-    fd = (gelu(xs + h) - gelu(xs - h)) / (2 * h)
-    assert np.max(np.abs(gelu_grad(xs) - fd)) < 1e-6
+# the spelled-out GELU and its slope, on arrays
+gelu_ref = np.vectorize(gelu, otypes=[np.float64])
+gelu_slope_ref = np.vectorize(gelu_slope, otypes=[np.float64])
 
 
 def identity_layer(n):
     return Layer(np.eye(n), np.zeros(n))
+
+
+def gelu_layer(x):
+    """The engine's GELU and its slope at ``x`` (rows, n): a GELU layer
+    with `eye` weights and zero bias, then an identity `eye` output, so
+    mlp_forward returns GELU(x) and mlp_backward of a ones output
+    gradient returns GELU'(x), each with no other rounding."""
+    net = net_from_layers([identity_layer(x.shape[1]), identity_layer(x.shape[1])])
+    out, cache = mlp_forward(net, x)
+    _, input_grad = mlp_backward(net, cache, np.ones_like(x))
+    return out, input_grad
+
+
+def within_ulps(got, want, n=4):
+    """|got - want| <= n ulp of max(1, |want|), elementwise."""
+    return bool(np.all(np.abs(got - want) <= n * np.spacing(np.maximum(1.0, np.abs(want)))))
+
+
+def test_gelu_fixed_points():
+    out, slope = gelu_layer(np.array([[0.0, 10.0, -10.0]]))
+    assert out[0, 0] == 0.0 and slope[0, 0] == 0.5
+    assert abs(out[0, 1] - 10.0) / 10.0 < 1e-9
+    assert abs(out[0, 2]) < 1e-8
+
+
+def test_gelu_layer_matches_erf_formula():
+    """The engine's GELU and slope on 24,001 points over [-12, 12],
+    against x * Phi(x) and Phi(x) + x * phi(x) spelled with math.erf:
+    within 4 ulp of max(1, |value|). The largest gap on this grid is
+    2 ulp (4.4e-16) for each."""
+    x = np.linspace(-12.0, 12.0, 24001)[:, None]
+    out, slope = gelu_layer(x)
+    assert within_ulps(out, gelu_ref(x))
+    assert within_ulps(slope, gelu_slope_ref(x))
+
+
+def test_gelu_derivative_matches_central_differences():
+    xs = np.linspace(-4, 4, 41)[:, None]
+    h = 1e-6
+    fd = (gelu_layer(xs + h)[0] - gelu_layer(xs - h)[0]) / (2 * h)
+    assert np.max(np.abs(gelu_layer(xs)[1] - fd)) < 1e-6
 
 
 def test_forward_zero_weights_returns_bias(rng):
@@ -68,18 +86,6 @@ def test_forward_identity_layer():
     x = np.array([[0.3, -1.2, 2.0]])
     out, _ = mlp_forward(net, x)
     assert np.array_equal(out, x)
-
-
-def test_gelu_layer_is_gelu_bit_for_bit(rng):
-    """A GELU layer followed by an identity `eye` output computes gelu and
-    backpropagates gelu_grad exactly, so the GELU tests above judge the
-    engine's formula."""
-    x = rng.standard_normal((64, 5)) * 3.0
-    net = net_from_layers([identity_layer(5), identity_layer(5)])
-    out, cache = mlp_forward(net, x)
-    assert np.array_equal(out, gelu(x))
-    _, input_grad = mlp_backward(net, cache, np.ones_like(x))
-    assert np.array_equal(input_grad, gelu_grad(x))
 
 
 def test_forward_deterministic(rng):
@@ -123,15 +129,15 @@ def test_backward_matches_finite_differences(rng):
 
 def test_backward_stacked_identity_layers_outer_product():
     """eye weights, GELU between: the output layer's weight gradient is
-    og x gelu(x), the hidden layer's is (og * gelu_grad(x)) x x."""
+    og x GELU(x), the hidden layer's is (og * GELU'(x)) x x."""
     net = net_from_layers([identity_layer(3), identity_layer(3)])
     x = np.array([1.0, -2.0, 0.5])
     og = np.array([0.7, 0.1, -1.3])
     _, cache = mlp_forward(net, x[None])
     grads, _ = mlp_backward(net, cache, og[None])
     d_weights = net.layout.weight_views(grads)
-    assert np.allclose(d_weights[0], np.outer(og * gelu_grad(x), x))
-    assert np.allclose(d_weights[1], np.outer(og, gelu(x)))
+    assert np.allclose(d_weights[0], np.outer(og * gelu_slope_ref(x), x))
+    assert np.allclose(d_weights[1], np.outer(og, gelu_ref(x)))
 
 
 def test_backward_batched_equals_sum_of_singles(rng):
@@ -234,7 +240,8 @@ def test_init_bounds_follow_fan_in(rng):
     # GELU on every layer but the last, identity on the last
     x = rng.standard_normal((3, 4))
     out, _ = mlp_forward(net, x)
-    assert np.array_equal(out, gelu(x @ w0.T + net.layers[0].bias) @ w1.T + net.layers[1].bias)
+    want = gelu_ref(x @ w0.T + net.layers[0].bias) @ w1.T + net.layers[1].bias
+    assert np.allclose(out, want, rtol=0.0, atol=1e-12)
 
 
 ROOT = Path(__file__).resolve().parents[1]

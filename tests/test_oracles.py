@@ -157,6 +157,15 @@ class TestNumericSoftQ:
         with pytest.raises(ValueError):
             numeric_soft_q(chain, alpha=1.0, gamma=0.95, grid_step=1e-3, refine_tol=5e-8)
 
+    @pytest.mark.parametrize("grid_step", [0.0, -1e-3, float("nan")])
+    def test_refuses_grid_step_that_is_not_positive(self, grid_step):
+        with pytest.raises(ValueError, match=r"grid_step must be in \(0, 1e-3\]"):
+            numeric_soft_q(ChainSpec(noise_std=0.3), alpha=0.2, gamma=0.9, grid_step=grid_step)
+
+    def test_refuses_nan_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            numeric_soft_q(ChainSpec(noise_std=0.3), alpha=float("nan"), gamma=0.9)
+
     def test_policy_logpdf_normalizes(self):
         chain = ChainSpec(noise_std=0.3)
         table = numeric_soft_q(chain, alpha=0.2, gamma=0.9)
