@@ -237,8 +237,8 @@ def load_checkpoint(
                 raise ConfigError("checkpoint 'config' must be an object")
             cfg = config_from_dict(cfg_echo)
             obs_dim, act_dim = (_field(header, "env", key, kind="int", least=1) for key in ("obs_dim", "act_dim"))
-            actor = Layout.chain(actor_sizes(obs_dim, act_dim, cfg.hidden_actor))
-            critic = Layout.chain(critic_sizes(obs_dim, act_dim, cfg.hidden_critic))
+            actor = Layout(actor_sizes(obs_dim, act_dim, cfg.hidden_actor))
+            critic = Layout(critic_sizes(obs_dim, act_dim, cfg.hidden_critic))
             adam_steps = {name: _field(header, "adam_steps", name, kind="int", least=0) for name in ADAM_NETWORKS}
             pairs = {}  # b and omega, one per critic
             for key in ("b", "omega"):

@@ -5,8 +5,9 @@ rates 1e-4/1e-4/3e-4, gamma 0.99, tau 0.005, policy update interval 2,
 20 samples per iteration, warm size 1e4, buffer 1e6, xi 3, epsilon and
 epsilon_omega 0.1, reward scale 1, three 256-unit hidden layers).
 Configs load from JSON with unknown keys rejected. The critic kernel
-is resolved once, by `RunConfig.kernel`, from the family's base kernel
-and the refinement flags the config sets explicitly.
+is resolved once, by `RunConfig.kernel`, from the switches `FAMILIES`
+pins for the algorithm and the refinement flags the config sets
+explicitly; the update reads `fixed_boundary_b` from the config itself.
 
 One rule, `check_number`, holds every number read from outside: each
 numeric config field, hidden size and env override, each checkpoint
@@ -28,11 +29,20 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baselines import FAMILIES, REFINEMENT_FLAGS
 from .critic import KernelSpec
 from .environments import ENV_BUILDERS
 
 DEFAULT_SEEDS = [12345, 22345, 32345, 42345, 52345]
+
+# algorithm -> the KernelSpec switches it pins: the full twin-distribution
+# kernel (dsact); the pre-refinement kernel with a random mean target and
+# a fixed clip boundary (dsacv1, Duan et al., arXiv 2001.02811); SAC's
+# mean-squared TD on twin minimum targets (Haarnoja et al., arXiv 1812.05905)
+FAMILIES = {
+    "dsact": {},
+    "dsacv1": {"expected_value_substitution": False, "twin_distributions": False, "variance_adjustment": False},
+    "sac": {"expected_value_substitution": True, "variance_adjustment": False, "distributional": False},
+}
 
 # the least value an env constructor takes for each bounded parameter
 _ENV_MINIMA = {"max_episode_steps": 1, "noise_std": 0}
@@ -160,22 +170,22 @@ class RunConfig:
         )
 
     def kernel(self) -> KernelSpec:
-        """The run's critic kernel: the family's base kernel with each
+        """The run's critic kernel: the family's pinned switches with each
         explicitly set refinement flag applied. A flag value the family
-        cannot honour is an error, not silently dropped."""
+        pins otherwise is an error, not silently dropped."""
         if not isinstance(self.algorithm, str) or self.algorithm not in FAMILIES:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choose from {list(FAMILIES)}")
-        base, toggles = FAMILIES[self.algorithm]
-        flags = {name: getattr(self, name) for name in REFINEMENT_FLAGS if getattr(self, name) is not None}
+        pinned = FAMILIES[self.algorithm]
+        names = ("expected_value_substitution", "twin_distributions", "variance_adjustment")
+        flags = {name: getattr(self, name) for name in names if getattr(self, name) is not None}
         for name, value in flags.items():
             if not isinstance(value, bool):
                 raise ConfigError(f"{name} must be true, false or null, got {value!r}")
-            if name not in toggles and value != getattr(base, name):
+            if pinned.get(name, value) != value:
                 raise ConfigError(
-                    f"{self.algorithm} does not accept {name}={value!r}; "
-                    f"its kernel has {name}={getattr(base, name)!r}"
+                    f"{self.algorithm} does not accept {name}={value!r}; its kernel has {name}={pinned[name]!r}"
                 )
-        return dataclasses.replace(base, fixed_b=self.fixed_boundary_b, **flags)
+        return KernelSpec(**{**pinned, **flags})
 
     # the benchmark's own tests (perfbench/test_tracer.py) read the
     # active critics through this earlier name

@@ -7,10 +7,11 @@ guards, the moving-average clipping boundary b and gradient scale
 omega, and target-network synchronization. A frozen `KernelSpec` says
 which of the paper's refinements an update applies; `critic_update`
 runs every kernel from it through `assemble_critic_gradient`, and
-`baselines` holds the spec of each named family. The tests replay the
-fixed-boundary and SAC kernels against two judges no engine path
-calls, `_assemble_fixed_boundary_gradient` and `_assemble_sac_gradient`,
-kept here only because the benchmark's tracer names them.
+`config.FAMILIES` pins the switches of each named family. The tests
+replay the fixed-boundary and SAC kernels against two judges no engine
+path calls, `_assemble_fixed_boundary_gradient` and
+`_assemble_sac_gradient`, kept here only because the benchmark's tracer
+names them.
 """
 
 from __future__ import annotations
@@ -42,17 +43,16 @@ class KernelSpec:
 
     The three refinement fields are the paper's switches. With
     variance adjustment the clip boundary b and the gradient scale
-    omega + eps_omega adapt per critic; without it the boundary is
-    `fixed_b`, the scale is 1 and the epsilon guards are off. A
-    non-distributional kernel is SAC's mean-squared TD on the mean
-    channel, with the expected target and no boundary.
+    omega + eps_omega adapt per critic; without it the boundary is the
+    config's `fixed_boundary_b`, the scale is 1 and the epsilon guards
+    are off. A non-distributional kernel is SAC's mean-squared TD on the
+    mean channel, with the expected target and no boundary.
     """
 
     expected_value_substitution: bool = True  # mean term uses y_q, else the random y_z
     twin_distributions: bool = True  # both critics learn; targets take the smaller mean
     variance_adjustment: bool = True
     distributional: bool = True
-    fixed_b: float = 20.0
 
     @property
     def active_critics(self) -> tuple[int, ...]:
@@ -263,7 +263,8 @@ def critic_update(
     full one: expected mean target, twin distributions, and
     variance-based boundary/scale adjustment.
 
-    cfg supplies gamma, eps, eps_omega, xi, tau and lr_critic.
+    cfg supplies gamma, eps, eps_omega, xi, tau, lr_critic and
+    fixed_boundary_b.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -272,7 +273,7 @@ def critic_update(
     mean_target = y_q if spec.expected_value_substitution or y_z is None else y_z
     adaptive = spec.distributional and spec.variance_adjustment
     for i in spec.active_critics:
-        b, eps = (state.b[i], cfg.eps) if adaptive else (spec.fixed_b, 0.0)
+        b, eps = (state.b[i], cfg.eps) if adaptive else (cfg.fixed_boundary_b, 0.0)
         grads, q, sigma = assemble_critic_gradient(state.theta[i], s, a, mean_target, y_z, b, eps)
         if adaptive:
             grads *= state.omega[i] + cfg.eps_omega

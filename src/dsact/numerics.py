@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -149,7 +148,8 @@ class Layer:
 
 
 class Layout:
-    """Where each layer's weight and bias sit in a network's flat buffer.
+    """Where each layer's weight and bias sit in the flat buffer of a
+    network with layer sizes [in, hidden..., out].
 
     Weights and biases alternate layer by layer (w0, b0, w1, b1, ...);
     ``spans`` holds (weight slice, weight shape, bias slice, bias shape)
@@ -157,28 +157,21 @@ class Layout:
     shared by the network's copies.
     """
 
-    __slots__ = ("shapes", "size", "spans")
+    __slots__ = ("sizes", "size", "spans")
 
-    def __init__(self, shapes):
-        """``shapes``: one (weight shape, bias shape) pair per layer."""
-        self.shapes = tuple((tuple(w_shape), tuple(b_shape)) for w_shape, b_shape in shapes)
+    def __init__(self, sizes):
+        self.sizes = tuple(sizes)
         spans = []
         start = 0
-        for w_shape, b_shape in self.shapes:
-            w_end = start + math.prod(w_shape)
-            b_end = w_end + math.prod(b_shape)
-            spans.append((slice(start, w_end), w_shape, slice(w_end, b_end), b_shape))
-            start = b_end
+        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
+            w_end = start + n_out * n_in
+            spans.append((slice(start, w_end), (n_out, n_in), slice(w_end, w_end + n_out), (n_out,)))
+            start = w_end + n_out
         self.spans = tuple(spans)
         self.size = start
 
-    @classmethod
-    def chain(cls, sizes) -> "Layout":
-        """The layout of a network with layer sizes [in, hidden..., out]."""
-        return cls(((n_out, n_in), (n_out,)) for n_in, n_out in zip(sizes, sizes[1:]))
-
     def __eq__(self, other):
-        return self is other or (isinstance(other, Layout) and self.shapes == other.shapes)
+        return self is other or (isinstance(other, Layout) and self.sizes == other.sizes)
 
     def __deepcopy__(self, memo):
         return self
@@ -232,7 +225,7 @@ def init_mlp(rng: np.random.Generator, sizes: list[int]) -> ParamSet:
     """
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    layout = Layout.chain(sizes)
+    layout = Layout(sizes)
     flat = np.empty(layout.size)
     for w, b in zip(layout.weight_views(flat), layout.bias_views(flat)):
         bound = np.sqrt(1.0 / w.shape[1])

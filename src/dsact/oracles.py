@@ -12,6 +12,7 @@ every action, so the action changes the return's mean but not its spread.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ def truth_horizon(gamma: float) -> int:
 def finite_diff_grad(scalar_fn, params: ParamSet, h: float) -> np.ndarray:
     """Central differences of a deterministic scalar over every parameter,
     as a flat array in the network's layout."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:  # NaN fails every comparison
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     flat = params.flat
     gflat = np.zeros_like(flat)
     for k in range(flat.size):
@@ -70,6 +71,8 @@ def mc_true_q(
     tail drops below 1e-3, so truncation error is bounded uniformly.
     Only ``done`` ends a rollout early; the env's time limit does not.
     """
+    if isinstance(n_rollouts, bool) or not isinstance(n_rollouts, numbers.Integral) or n_rollouts < 1:
+        raise ValueError(f"n_rollouts must be an integer >= 1, got {n_rollouts!r}")
     start_state, start_action = start
     horizon = truth_horizon(gamma)
     total = 0.0

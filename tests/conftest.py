@@ -22,7 +22,7 @@ def net_from_layers(layers) -> ParamSet:
     """A network over a fresh buffer holding copies of the `Layer`s' arrays."""
     weights = [np.asarray(l.weight, dtype=np.float64) for l in layers]
     biases = [np.asarray(l.bias, dtype=np.float64) for l in layers]
-    layout = Layout((w.shape, b.shape) for w, b in zip(weights, biases, strict=True))
+    layout = Layout([weights[0].shape[1], *(w.shape[0] for w in weights)])
     return ParamSet(pack(layout, weights, biases), layout)
 
 

@@ -20,7 +20,7 @@ from dsact.numerics import NumericalError, adam_step, init_mlp
 
 from conftest import params_equal
 from scalar_reference import grad_coeff_sac, grad_coeffs_dsact, grad_coeffs_v1
-from test_critic import KernelCfg, make_batch, make_pair
+from test_critic import make_batch, make_pair
 
 
 def kernel(**flags):
@@ -101,7 +101,7 @@ def test_family_defaults():
     assert full.active_critics == (0, 1)
     v1 = kernel(algorithm="dsacv1")
     assert not (v1.expected_value_substitution or v1.twin_distributions or v1.variance_adjustment)
-    assert v1.fixed_b == 20.0
+    assert RunConfig(algorithm="dsacv1").fixed_boundary_b == 20.0
     assert v1.active_critics == (0,)
     sac = kernel(algorithm="sac")
     assert sac.active_critics == (0, 1)
@@ -148,10 +148,36 @@ def test_flag_the_family_cannot_honour_rejected(algorithm, flag, value):
     ],
 )
 def test_flag_the_family_honours_reaches_the_kernel(algorithm, flags):
-    spec = config_from_dict({"algorithm": algorithm, **flags}).kernel()
+    cfg = config_from_dict({"algorithm": algorithm, **flags})
+    spec = cfg.kernel()
     for name, value in flags.items():
-        assert getattr(spec, "fixed_b" if name == "fixed_boundary_b" else name) == value
+        assert getattr(cfg if name == "fixed_boundary_b" else spec, name) == value
     assert spec.distributional == (algorithm != "sac")
+
+
+@pytest.mark.parametrize("fields", [{"variance_adjustment": False}, {"algorithm": "dsacv1"}], ids=["no-va", "dsacv1"])
+def test_configured_fixed_boundary_reaches_the_clip(fields, rng):
+    """A fixed-boundary kernel clips the random target at the config's
+    `fixed_boundary_b`: one update with b = 5 matches the judge at b = 5
+    plus Adam, on a batch where the clip binds at 5."""
+    cfg = config_from_dict({**fields, "fixed_boundary_b": 5.0, "lr_critic": 1e-3})
+    spec = cfg.kernel()
+    pair = make_pair(seed=71)
+    pair2 = copy.deepcopy(pair)
+    policy = init_mlp(np.random.default_rng(10), [3, 8, 2])
+    batch = make_batch(rng, n=6)
+    batch.r *= 10.0  # targets far from the fresh critics' means
+    build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(23))
+
+    s, a, r, s2, mask = batch_arrays(batch)
+    y_q, y_z, _, _ = build_targets(pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(23), spec)
+    mean_target = y_q if spec.expected_value_substitution else y_z
+    for i in spec.active_critics:
+        q, _, _, _ = critic_forward(pair2.theta[i], s, a)
+        assert np.any(np.abs(y_z - q) > 5.0)  # the clip binds
+        grads, _, _ = _assemble_fixed_boundary_gradient(pair2.theta[i], s, a, mean_target, y_z, 5.0)
+        adam_step(pair2.adam[i], pair2.theta[i], grads, cfg.lr_critic)
+        assert params_equal(pair.theta[i], pair2.theta[i])
 
 
 def test_all_on_variant_matches_critic_update(rng):
@@ -160,7 +186,7 @@ def test_all_on_variant_matches_critic_update(rng):
     pair2 = copy.deepcopy(pair1)
     policy = init_mlp(np.random.default_rng(3), [3, 8, 2])
     batch = make_batch(rng, n=8)
-    cfg = KernelCfg()
+    cfg = RunConfig(lr_critic=1e-3)
     critic_update(pair1, batch, policy, 0.2, cfg, np.random.default_rng(9))
     step = build_variant(kernel())
     step(pair2, batch, policy, 0.2, cfg, np.random.default_rng(9))
@@ -177,7 +203,7 @@ def test_dsacv1_composition(rng):
     pair2 = copy.deepcopy(pair)
     policy = init_mlp(np.random.default_rng(8), [3, 8, 2])
     batch = make_batch(rng, n=6)
-    cfg = KernelCfg()
+    cfg = RunConfig(lr_critic=1e-3)
     spec = kernel(algorithm="dsacv1")
     build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(4))
 
@@ -203,7 +229,7 @@ def test_fixed_boundary_keeps_expected_target(rng):
     pair2 = copy.deepcopy(pair)
     policy = init_mlp(np.random.default_rng(6), [3, 8, 2])
     batch = make_batch(rng, n=6)
-    cfg = KernelCfg()
+    cfg = RunConfig(lr_critic=1e-3)
     spec = kernel(variance_adjustment=False)
     build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(12))
 
@@ -224,7 +250,7 @@ def test_sac_composition(rng):
     pair2 = copy.deepcopy(pair)
     policy = init_mlp(np.random.default_rng(2), [3, 8, 2])
     batch = make_batch(rng, n=6)
-    cfg = KernelCfg()
+    cfg = RunConfig(lr_critic=1e-3)
     spec = kernel(algorithm="sac")
     build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(33))
 
@@ -249,7 +275,7 @@ def test_no_evs_composition(rng):
     pair2 = copy.deepcopy(pair)
     policy = init_mlp(np.random.default_rng(5), [3, 8, 2])
     batch = make_batch(rng, n=6)
-    cfg = KernelCfg()
+    cfg = RunConfig(lr_critic=1e-3)
     spec = kernel(expected_value_substitution=False)
     build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(19))
 
@@ -278,7 +304,7 @@ def test_single_dist_composition(rng):
     pair2 = copy.deepcopy(pair)
     policy = init_mlp(np.random.default_rng(7), [3, 8, 2])
     batch = make_batch(rng, n=6)
-    cfg = KernelCfg()
+    cfg = RunConfig(lr_critic=1e-3)
     spec = kernel(twin_distributions=False)
     build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(15))
 
@@ -303,7 +329,7 @@ def test_sac_single_composition(rng):
     pair2 = copy.deepcopy(pair)
     policy = init_mlp(np.random.default_rng(9), [3, 8, 2])
     batch = make_batch(rng, n=6)
-    cfg = KernelCfg()
+    cfg = RunConfig(lr_critic=1e-3)
     spec = kernel(algorithm="sac", twin_distributions=False)
     build_variant(spec)(pair, batch, policy, 0.2, cfg, np.random.default_rng(35))
 
@@ -363,7 +389,7 @@ def test_every_kernel_runs_through_one_assembler(name, rng, monkeypatch):
     monkeypatch.setattr(critic, "assemble_critic_gradient", counted)
     pair = make_pair(seed=61)
     policy = init_mlp(np.random.default_rng(1), [3, 8, 2])
-    critic_update(pair, make_batch(rng, n=6), policy, 0.2, KernelCfg(), np.random.default_rng(2), spec)
+    critic_update(pair, make_batch(rng, n=6), policy, 0.2, RunConfig(lr_critic=1e-3), np.random.default_rng(2), spec)
     assert calls == [pair.theta[i] for i in spec.active_critics]
     assert [pair.adam[i].step for i in (0, 1)] == [int(i in spec.active_critics) for i in (0, 1)]
 
@@ -396,7 +422,8 @@ def test_non_finite_critic_gradient_names_the_critic_and_its_ranges(name, rng, m
     """The error names the failing critic, its q and sigma ranges, and the
     range of the mean target its kernel used: the random target under
     dsacv1, the expected one otherwise."""
-    spec = kernel(**KERNELS[name])
+    cfg = RunConfig(lr_critic=1e-3, **KERNELS[name])
+    spec = cfg.kernel()
     last = spec.active_critics[-1]
     pair = make_pair(seed=67)
     pair2 = copy.deepcopy(pair)
@@ -410,10 +437,10 @@ def test_non_finite_critic_gradient_names_the_critic_and_its_ranges(name, rng, m
 
     monkeypatch.setattr(critic, "adam_step", failing_adam_step)
     with pytest.raises(NumericalError) as info:
-        critic_update(pair, batch, policy, 0.2, KernelCfg(), np.random.default_rng(8), spec)
+        critic_update(pair, batch, policy, 0.2, cfg, np.random.default_rng(8), spec)
 
     s, a, r, s2, mask = batch_arrays(batch)
-    y_q, y_z, _, _ = build_targets(pair2, s2, r, mask, policy, 0.2, KernelCfg.gamma, np.random.default_rng(8), spec)
+    y_q, y_z, _, _ = build_targets(pair2, s2, r, mask, policy, 0.2, cfg.gamma, np.random.default_rng(8), spec)
     q, sigma, _, _ = critic_forward(pair2.theta[last], s, a)
     mean_target = y_q if spec.expected_value_substitution else y_z
     message = str(info.value)

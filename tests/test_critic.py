@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsact.config import RunConfig
 from dsact.critic import (
     assemble_critic_gradient,
     batch_arrays,
@@ -43,15 +44,6 @@ def make_batch(rng, n=6, obs_dim=3, act_dim=1) -> Batch:
         s_next=np.array(s2).reshape(n, obs_dim),
         done=np.zeros(n, dtype=bool),
     )
-
-
-class KernelCfg:
-    gamma = 0.99
-    eps = 0.1
-    eps_omega = 0.1
-    xi = 3.0
-    tau = 0.005
-    lr_critic = 1e-3
 
 
 def test_select_min_target():
@@ -315,7 +307,7 @@ def test_critic_update_composition_order(rng):
     pair2 = copy.deepcopy(pair)
     policy = init_mlp(np.random.default_rng(14), [3, 8, 2])
     batch = make_batch(rng, n=8)
-    cfg = KernelCfg()
+    cfg = RunConfig(lr_critic=1e-3)
 
     critic_update(pair, batch, policy, alpha=0.2, cfg=cfg, rng=np.random.default_rng(55))
 
@@ -344,7 +336,7 @@ def test_critic_update_composition_order(rng):
 def test_critic_update_second_call_uses_config_tau(rng):
     pair = make_pair(seed=8)
     policy = init_mlp(np.random.default_rng(14), [3, 8, 2])
-    cfg = KernelCfg()
+    cfg = RunConfig(lr_critic=1e-3)
     batch = make_batch(rng, n=8)
     critic_update(pair, batch, policy, 0.2, cfg, np.random.default_rng(1))
     b_prev, om_prev = pair.b[0], pair.omega[0]
@@ -360,4 +352,4 @@ def test_critic_update_rejects_empty_batch():
     policy = init_mlp(np.random.default_rng(0), [3, 8, 2])
     empty = make_batch(np.random.default_rng(0), n=0)
     with pytest.raises(ValueError):
-        critic_update(pair, empty, policy, 0.2, KernelCfg(), np.random.default_rng(0))
+        critic_update(pair, empty, policy, 0.2, RunConfig(lr_critic=1e-3), np.random.default_rng(0))

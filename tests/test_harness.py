@@ -382,7 +382,7 @@ class TestCheckpoint:
             header["stats_initialized"] = [header["adam_steps"][n] > 0 for n in ("critic1", "critic2")]
             header["networks"] = {
                 name: {
-                    "shapes": [list(w_shape) for w_shape, _ in net.layout.shapes],
+                    "shapes": [list(w_shape) for _, w_shape, _, _ in net.layout.spans],
                     "activations": ["gelu"] * (len(net.layers) - 1) + ["identity"],
                 }
                 for name, net in nets.items()

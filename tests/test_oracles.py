@@ -74,6 +74,19 @@ def test_finite_diff_constant_zero(rng):
     assert not g.any()
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+def test_finite_diff_refuses_a_step_that_is_not_finite(h):
+    net = net_from_layers([Layer(np.array([[3.0]]), np.array([0.0]))])
+    with pytest.raises(ValueError, match="h must be finite and positive"):
+        finite_diff_grad(lambda p: 0.0, net, h)
+
+
+@pytest.mark.parametrize("n_rollouts", [-1, 0, 2.0, True])
+def test_mc_true_q_refuses_a_rollout_count_that_is_not_a_positive_integer(n_rollouts):
+    with pytest.raises(ValueError, match="n_rollouts must be an integer >= 1"):
+        mc_true_q(ConstRewardEnv(), zero_policy, (0, np.zeros(1)), n_rollouts, 0.9, 0.0, np.random.default_rng(0))
+
+
 def test_mc_true_q_geometric_series():
     env = ConstRewardEnv()
     got = mc_true_q(
